@@ -1,0 +1,9 @@
+"""Puts the package source and the benchmark modules on sys.path for pytest."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
