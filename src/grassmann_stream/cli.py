@@ -43,7 +43,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return float(format(float(obj), ".17g"))
+        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -88,14 +88,17 @@ def _trial_config(cfg: dict, seed_override: int | None) -> harness.TrialConfig:
         kwargs["seed"] = seed_override
     elif "seed" not in kwargs and os.environ.get("GS_SEED"):
         kwargs["seed"] = int(os.environ["GS_SEED"])
-    try:
-        return harness.TrialConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return harness.TrialConfig(**kwargs)
 
 
-def _cmd_run(cfg: dict, args) -> int:
-    config = _trial_config(cfg, args.seed)
+def _block(cfg: dict, name: str, required: bool = False) -> dict:
+    block = cfg.get(name, None if required else {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"the config needs {name!r} to be an object")
+    return block
+
+
+def _cmd_run(config: harness.TrialConfig, args) -> int:
     series = harness.run_trial(config)
     out = Path(args.out)
     rows = []
@@ -132,16 +135,14 @@ def _cmd_run(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(cfg: dict, args) -> int:
-    sweep_cfg = cfg.get("sweep")
-    if not isinstance(sweep_cfg, dict):
-        raise ConfigError("sweep command needs a 'sweep' object in the config")
-    base = _trial_config(cfg, args.seed)
+def _parse_sweep(cfg: dict, seed: int | None):
+    sweep_cfg = _block(cfg, "sweep", required=True)
+    base = _trial_config(cfg, seed)
     ns = sweep_cfg.get("ns", [base.n])
     ds = sweep_cfg.get("ds", [base.d])
     ms = sweep_cfg.get("ms", [base.m])
     trials = int(sweep_cfg.get("trials_per_cell", 10))
-    grid = [(int(n), int(d), None if m is None else int(m)) for n in ns for d in ds for m in ms]
+    grid = [(n, d, m) for n in ns for d in ds for m in ms]
     if not grid or trials < 1:
         raise ConfigError("sweep grid must be non-empty with trials_per_cell >= 1")
     bound_kind = sweep_cfg.get("bound", "heuristic")
@@ -154,7 +155,23 @@ def _cmd_sweep(cfg: dict, args) -> int:
             return theory.iteration_bound_full(n, d, rho, base.zeta_star).value
     else:
         raise ConfigError(f"unknown sweep bound {bound_kind!r}")
-    cells = harness.sweep(base, grid, trials, bound_fn, jobs=args.jobs)
+    cap_multiple = sweep_cfg.get("cap_multiple")
+    if cap_multiple is not None:
+        cap_multiple = float(cap_multiple)
+        if not cap_multiple > 0.0:
+            raise ConfigError("cap_multiple must be positive")
+    for n, d, m in grid:
+        # Builds and bounds each cell once, so a bad cell fails before any runs.
+        dataclasses.replace(base, n=n, d=d, m=m)
+        bound_fn(n, d, m)
+    return base, sweep_cfg, grid, trials, bound_fn, cap_multiple
+
+
+def _cmd_sweep(plan, args) -> int:
+    base, sweep_cfg, grid, trials, bound_fn, cap_multiple = plan
+    cells = harness.sweep(
+        base, grid, trials, bound_fn, jobs=args.jobs, cap_multiple=cap_multiple
+    )
     out = Path(args.out)
     header = ("n", "d", "m", "mean_ratio", "var_ratio", "fail_frac")
     rows = [
@@ -177,13 +194,38 @@ def _cmd_sweep(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(cfg: dict, args) -> int:
-    verify_cfg = cfg.get("verify", {})
-    if not isinstance(verify_cfg, dict):
-        raise ConfigError("'verify' must be an object when present")
-    config = _trial_config(cfg, args.seed)
-    config = dataclasses.replace(config, diagnostics_level="full")
-    num_steps = int(verify_cfg.get("num_steps", 200))
+def _parse_histogram(cfg: dict, seed: int | None):
+    mc_cfg = _block(cfg, "monte_carlo", required=True)
+    num_steps = int(mc_cfg.get("num_steps", 300))
+    num_trials = int(mc_cfg.get("num_trials", 50))
+    if num_steps < 1 or num_trials < 1:
+        raise ConfigError("num_steps and num_trials must be >= 1")
+    return _trial_config(cfg, seed), num_steps, num_trials
+
+
+def _cmd_histogram(plan, args) -> int:
+    config, num_steps, num_trials = plan
+    hist = harness.monte_carlo_ratio(config, num_steps, num_trials)
+    header = ("bin_lo", "bin_hi", "count", "mean_ratio", "std_err", "mean_zeta", "theory")
+    columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.mean_ratio,
+               hist.std_err, hist.mean_zeta, hist.theory)
+    rows = list(zip(*columns))
+    _write_csv(Path(args.out) / "histogram.csv", header, rows)
+    if args.format == "json":
+        print(json.dumps(_jsonable([dict(zip(header, row)) for row in rows])))
+    else:
+        print(f"histogram: {len(rows)} bins written to histogram.csv")
+    return EXIT_OK
+
+
+def _parse_verify(cfg: dict, seed: int | None):
+    verify_cfg = _block(cfg, "verify")
+    config = dataclasses.replace(_trial_config(cfg, seed), diagnostics_level="full")
+    return config, int(verify_cfg.get("num_steps", 200))
+
+
+def _cmd_verify(plan, args) -> int:
+    config, num_steps = plan
     report = harness.verify_step_invariants(config, num_steps)
     report["config"] = dataclasses.asdict(config)
     report["num_steps"] = num_steps
@@ -201,60 +243,58 @@ def _cmd_verify(cfg: dict, args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
-def _cmd_bounds(cfg: dict, args) -> int:
-    bounds_cfg = dict(cfg.get("bounds", {}))
-    if not isinstance(bounds_cfg, dict):
-        raise ConfigError("'bounds' must be an object when present")
-    try:
-        n = int(cfg.get("n", bounds_cfg.get("n", 5000)))
-        d = int(cfg.get("d", bounds_cfg.get("d", 10)))
-        m = cfg.get("m", bounds_cfg.get("m"))
-        m = n if m is None else int(m)
-        rho = float(bounds_cfg.get("rho", 0.1))
-        zeta_star = float(cfg.get("zeta_star", bounds_cfg.get("zeta_star", 1.0 - 1e-4)))
-        zeta = float(bounds_cfg.get("zeta", 0.5))
-        delta = float(bounds_cfg.get("delta", 0.25))
-        phi_d = float(bounds_cfg.get("phi_d", 0.1))
-        mu0 = float(bounds_cfg.get("mu0", 1.0))
-        mu_vperp = float(bounds_cfg.get("mu_vperp", 1.0))
-        kappa = float(bounds_cfg.get("kappa", 1.0 - zeta))
-        iteration = theory.iteration_bound_full(n, d, rho, zeta_star)
-        rate_cs = theory.expected_rate_cs(zeta, d, m, n, delta, phi_d)
-        rate_missing = theory.expected_rate_missing(zeta, d, m, n)
-        payload = {
-            "params": {
-                "n": n, "d": d, "m": m, "rho": rho, "zeta_star": zeta_star,
-                "zeta": zeta, "delta": delta, "phi_d": phi_d, "mu0": mu0,
-                "mu_vperp": mu_vperp, "kappa": kappa,
-            },
-            "iteration_bound_full": {
-                "value": iteration.value, **iteration.components,
-            },
-            "heuristic_iterations": theory.heuristic_iterations(n, m, d, zeta_star),
-            "expected_rate_full": theory.expected_rate_full(zeta, d),
-            "expected_rate_cs": {
-                "rate": rate_cs.rate,
-                "probability": rate_cs.probability,
-                **rate_cs.params,
-            },
-            "expected_rate_missing": {
-                "rate": rate_missing.rate,
-                "probability": rate_missing.probability,
-            },
-            "sample_complexity_missing": {
-                "value": theory.sample_complexity_missing(d, mu0, mu_vperp, n).value,
-                **theory.sample_complexity_missing(d, mu0, mu_vperp, n).components,
-            },
-            "discrepancy_decay_missing": theory.discrepancy_decay_missing(
-                kappa, d, m, n, mu0
-            ),
-            "expected_initial_similarity": theory.expected_zeta0(n, d),
-        }
-        if 0.0 < delta < 0.5:
-            cs = theory.sample_complexity_cs(d, delta, phi_d, n)
-            payload["sample_complexity_cs"] = {"value": cs.value, **cs.components}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _parse_bounds(cfg: dict, seed: int | None) -> dict:
+    """Evaluates every closed-form bound; out-of-range parameters raise here."""
+    bounds_cfg = _block(cfg, "bounds")
+    n = int(cfg.get("n", bounds_cfg.get("n", 5000)))
+    d = int(cfg.get("d", bounds_cfg.get("d", 10)))
+    m = cfg.get("m", bounds_cfg.get("m"))
+    m = n if m is None else int(m)
+    rho = float(bounds_cfg.get("rho", 0.1))
+    zeta_star = float(cfg.get("zeta_star", bounds_cfg.get("zeta_star", 1.0 - 1e-4)))
+    zeta = float(bounds_cfg.get("zeta", 0.5))
+    delta = float(bounds_cfg.get("delta", 0.25))
+    phi_d = float(bounds_cfg.get("phi_d", 0.1))
+    mu0 = float(bounds_cfg.get("mu0", 1.0))
+    mu_vperp = float(bounds_cfg.get("mu_vperp", 1.0))
+    kappa = float(bounds_cfg.get("kappa", 1.0 - zeta))
+    iteration = theory.iteration_bound_full(n, d, rho, zeta_star)
+    rate_cs = theory.expected_rate_cs(zeta, d, m, n, delta, phi_d)
+    rate_missing = theory.expected_rate_missing(zeta, d, m, n)
+    missing = theory.sample_complexity_missing(d, mu0, mu_vperp, n)
+    payload = {
+        "params": {
+            "n": n, "d": d, "m": m, "rho": rho, "zeta_star": zeta_star,
+            "zeta": zeta, "delta": delta, "phi_d": phi_d, "mu0": mu0,
+            "mu_vperp": mu_vperp, "kappa": kappa,
+        },
+        "iteration_bound_full": {
+            "value": iteration.value, **iteration.components,
+        },
+        "heuristic_iterations": theory.heuristic_iterations(n, m, d, zeta_star),
+        "expected_rate_full": theory.expected_rate_full(zeta, d),
+        "expected_rate_cs": {
+            "rate": rate_cs.rate,
+            "probability": rate_cs.probability,
+            **rate_cs.params,
+        },
+        "expected_rate_missing": {
+            "rate": rate_missing.rate,
+            "probability": rate_missing.probability,
+        },
+        "sample_complexity_missing": {"value": missing.value, **missing.components},
+        "discrepancy_decay_missing": theory.discrepancy_decay_missing(
+            kappa, d, m, n, mu0
+        ),
+        "expected_initial_similarity": theory.expected_zeta0(n, d),
+    }
+    if 0.0 < delta < 0.5:
+        cs = theory.sample_complexity_cs(d, delta, phi_d, n)
+        payload["sample_complexity_cs"] = {"value": cs.value, **cs.components}
+    return payload
+
+
+def _cmd_bounds(payload: dict, args) -> int:
     out = Path(args.out)
     _write_json(out / "bounds.json", payload)
     if args.format == "json":
@@ -269,12 +309,27 @@ def _cmd_bounds(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+# command -> (parse, execute). The parse step reads and validates the whole
+# config before anything runs; the execute step takes what it returns.
 _COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-    "bounds": _cmd_bounds,
+    "run": (_trial_config, _cmd_run),
+    "sweep": (_parse_sweep, _cmd_sweep),
+    "histogram": (_parse_histogram, _cmd_histogram),
+    "verify": (_parse_verify, _cmd_verify),
+    "bounds": (_parse_bounds, _cmd_bounds),
 }
+
+
+def parse_config(command: str, cfg: dict, seed: int | None = None):
+    """Validate cfg for command without running anything.
+
+    Returns what the command's execute step takes. Any TypeError or
+    ValueError raised while parsing is re-raised as ConfigError (exit 2).
+    """
+    try:
+        return _COMMANDS[command][0](cfg, seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,10 +356,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize anything else.
         return EXIT_USAGE if exc.code != 0 else EXIT_OK
     try:
-        cfg = _load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args)
+        plan = parse_config(args.command, _load_config(args.config), args.seed)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command][1](plan, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

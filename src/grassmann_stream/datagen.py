@@ -56,16 +56,20 @@ class OpSpec:
     """Which operator to draw per observation: 'full', 'gaussian', or 'entrywise'."""
 
     kind: str
-    m: int | None = None
+    m: int | None = None  # measurements per vector; ignored for 'full'
+
+    def __post_init__(self):
+        if self.kind not in ("full", "gaussian", "entrywise"):
+            raise ValueError(f"unknown operator kind {self.kind!r}")
+        if self.kind != "full" and (self.m is None or self.m < 1):
+            raise ValueError("undersampled operators need m >= 1")
 
     def draw(self, n: int, rng: np.random.Generator) -> sampling.SamplingOperator:
         if self.kind == "full":
             return sampling.make_full(n)
         if self.kind == "gaussian":
             return sampling.make_gaussian(self.m, n, rng)
-        if self.kind == "entrywise":
-            return sampling.make_entrywise(self.m, n, rng)
-        raise ValueError(f"unknown operator kind {self.kind!r}")
+        return sampling.make_entrywise(self.m, n, rng)
 
 
 def gen_dense_truth(n: int, d: int, rng: np.random.Generator) -> GroundTruth:

@@ -10,6 +10,7 @@ rare bad draw must not abort a stream.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ class StepStatus(enum.Enum):
     SKIPPED_RANK_DEFICIENT = "skipped_rank_deficient"
     SKIPPED_ZERO_RESIDUAL = "skipped_zero_residual"
     SKIPPED_ZERO_PROJECTION = "skipped_zero_projection"
+    SKIPPED_NONFINITE_INPUT = "skipped_nonfinite_input"
 
 
 @dataclass
@@ -114,10 +116,13 @@ def _step_impl(
     x: np.ndarray,
     theta_override: float | None,
 ) -> StepReport:
-    if sampling.ambient_dim(op) != state.n:
+    if op.n != state.n:
         raise ValueError("operator ambient dimension does not match the state")
     x = np.asarray(x, dtype=np.float64)
     norm_x = float(np.linalg.norm(x))
+    # A NaN or infinite measurement would spread into every entry of U.
+    if not math.isfinite(norm_x):
+        return StepReport(status=StepStatus.SKIPPED_NONFINITE_INPUT)
 
     B = sampling.restrict_basis(op, state.U)
     try:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datagen, grouse, sampling, theory
+from . import datagen, grouse, metrics, sampling, theory
 from .grouse import StepStatus
 from .numerics import project
 
@@ -37,6 +38,7 @@ STATUS_CODES = {
     StepStatus.SKIPPED_RANK_DEFICIENT: 1,
     StepStatus.SKIPPED_ZERO_RESIDUAL: 2,
     StepStatus.SKIPPED_ZERO_PROJECTION: 3,
+    StepStatus.SKIPPED_NONFINITE_INPUT: 4,
 }
 STATUS_NAMES = {code: status.value for status, code in STATUS_CODES.items()}
 
@@ -57,14 +59,21 @@ class TrialConfig:
     diagnostics_level: str = "basic"  # 'none' | 'basic' | 'full'
 
     def __post_init__(self):
+        for name in ("n", "d", "m", "max_iters", "seed", "reorth_cadence"):
+            _check_type(self, name, numbers.Integral, "an integer")
+        for name in ("zeta_star", "init_target"):
+            _check_type(self, name, numbers.Real, "a number")
+        if not 1 <= self.d < self.n:
+            raise ValueError(f"need 1 <= d < n, got d={self.d}, n={self.n}")
         if not 0.0 < self.zeta_star < 1.0:
             raise ValueError("zeta_star must lie in (0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.op_kind not in ("full", "gaussian", "entrywise"):
-            raise ValueError(f"unknown op_kind {self.op_kind!r}")
-        if self.op_kind != "full" and (self.m is None or self.m < 1):
-            raise ValueError("undersampled trials need m >= 1")
+        if self.max_iters < 1 or self.reorth_cadence < 1:
+            raise ValueError("max_iters and reorth_cadence must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        self.op_spec()  # OpSpec validates op_kind and m
+        if self.op_kind != "full" and self.m > self.n:
+            raise ValueError(f"m must not exceed n, got m={self.m}, n={self.n}")
         if self.truth_kind not in ("dense", "sparse"):
             raise ValueError(f"unknown truth_kind {self.truth_kind!r}")
         if self.init not in ("random", "perturbed"):
@@ -73,9 +82,13 @@ class TrialConfig:
             raise ValueError(f"unknown diagnostics_level {self.diagnostics_level!r}")
 
     def op_spec(self) -> datagen.OpSpec:
-        if self.op_kind == "full":
-            return datagen.OpSpec("full")
-        return datagen.OpSpec(self.op_kind, self.m)
+        return datagen.OpSpec(self.op_kind, None if self.op_kind == "full" else self.m)
+
+
+def _check_type(config, name: str, kind, description: str) -> None:
+    value = getattr(config, name)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+        raise ValueError(f"{name} must be {description}, got {value!r}")
 
 
 @dataclass
@@ -113,14 +126,6 @@ class ImprovementHistogram:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-def _log_zeta(M: np.ndarray) -> float:
-    """Log similarity from the d x d overlap matrix Ubar^T U."""
-    sv = np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0)
-    if sv[-1] <= 1e-300:
-        return -np.inf
-    return float(2.0 * np.sum(np.log(sv)))
-
-
 def _setup_trial(config: TrialConfig, rng: np.random.Generator):
     if config.truth_kind == "dense":
         truth = datagen.gen_dense_truth(config.n, config.d, rng)
@@ -152,6 +157,9 @@ class _OverlapTracker:
         elif report.update_dir is not None:
             self.M += np.outer(self.Ubar.T @ report.update_dir, report.update_coeffs)
 
+    def zeta(self) -> float:
+        return float(np.exp(metrics.log_similarity(metrics.overlap_cosines(self.M))))
+
 
 def run_trial(config: TrialConfig) -> TrialSeries:
     """Run one seeded stream until the similarity target or the cap."""
@@ -166,7 +174,7 @@ def run_trial(config: TrialConfig) -> TrialSeries:
 
     converged = False
     iterations = None
-    zeta = float(np.exp(_log_zeta(tracker.M)))
+    zeta = tracker.zeta()
     stream = datagen.gen_stream(truth, config.op_spec(), config.max_iters, rng)
     for t, sample in enumerate(stream):
         delta = np.nan
@@ -178,7 +186,7 @@ def run_trial(config: TrialConfig) -> TrialSeries:
                 delta = np.nan
         report = grouse.step(state, sample.op, sample.x)
         tracker.advance(state, report)
-        zeta = float(np.exp(_log_zeta(tracker.M)))
+        zeta = tracker.zeta()
         if full_diag and report.status is StepStatus.UPDATED and np.isfinite(delta):
             bound = theory.step_lower_bound_undersampled(
                 report.norm_p, report.norm_r_tilde, report.norm_r, delta
@@ -276,12 +284,13 @@ def monte_carlo_ratio(
         if warmup_targets is not None:
             target = warmup_targets[trial % len(warmup_targets)]
             _warmup_full(state, truth, tracker, target, rng)
-        log_zeta = _log_zeta(tracker.M)
+        cosines = metrics.overlap_cosines(tracker.M)
+        log_zeta = metrics.log_similarity(cosines)
         for sample in datagen.gen_stream(truth, config.op_spec(), num_steps, rng):
-            sv_before = np.clip(np.linalg.svd(tracker.M, compute_uv=False), 0.0, 1.0)
             report = grouse.step(state, sample.op, sample.x)
             tracker.advance(state, report)
-            new_log_zeta = _log_zeta(tracker.M)
+            new_cosines = metrics.overlap_cosines(tracker.M)
+            new_log_zeta = metrics.log_similarity(new_cosines)
             if report.status is StepStatus.UPDATED and np.isfinite(log_zeta):
                 zeta = float(np.exp(log_zeta))
                 ratio = float(np.exp(new_log_zeta - log_zeta))
@@ -292,9 +301,9 @@ def monte_carlo_ratio(
                 m2[b] += delta_mean * (ratio - mean[b])
                 zeta_sum[b] += zeta
                 if theory_step_fn is not None:
-                    phi_d = float(np.arccos(sv_before[-1]))
+                    phi_d = float(np.arccos(cosines[-1]))
                     theory_sum[b] += theory_step_fn(zeta, phi_d)
-            log_zeta = new_log_zeta
+            cosines, log_zeta = new_cosines, new_log_zeta
 
     with np.errstate(invalid="ignore", divide="ignore"):
         variance = np.where(counts > 1, m2 / np.maximum(counts - 1, 1), np.nan)
@@ -320,7 +329,7 @@ def _warmup_full(state, truth, tracker, target_zeta, rng, cap=20_000):
     """Advance a trial with fully sampled updates until zeta >= target."""
     spec = datagen.OpSpec("full")
     for sample in datagen.gen_stream(truth, spec, cap, rng):
-        if np.exp(_log_zeta(tracker.M)) >= target_zeta:
+        if tracker.zeta() >= target_zeta:
             return
         report = grouse.step(state, sample.op, sample.x)
         tracker.advance(state, report)
@@ -351,27 +360,27 @@ def sweep(
     trials_per_cell: int,
     bound_fn,
     jobs: int = 1,
+    cap_multiple: float | None = None,
 ) -> list[SweepCell]:
     """Ratio of actual iterations to bound_fn(n, d, m) over a (n, d, m) grid.
 
     Trials that hit the iteration cap count toward fail_frac and are
-    excluded from the ratio statistics.
+    excluded from the ratio statistics. With cap_multiple, each cell's
+    cap is int(cap_multiple * bound_fn(n, d, max(m, d + 1))) + 1 instead
+    of base.max_iters: rank-deficient cells (m <= d) would otherwise burn
+    the whole budget on skipped steps.
     """
     cells = []
     for n, d, m in grid:
         bound = bound_fn(n, d, m)
-        tasks = [
-            (
-                dataclasses.replace(
-                    base,
-                    n=n,
-                    d=d,
-                    m=m,
-                    seed=base.seed + 1000 * len(cells) + trial,
-                    diagnostics_level="none",
-                ),
-                bound,
+        cell = dataclasses.replace(base, n=n, d=d, m=m, diagnostics_level="none")
+        if cap_multiple is not None:
+            cap_m = None if m is None else max(m, d + 1)
+            cell = dataclasses.replace(
+                cell, max_iters=int(cap_multiple * bound_fn(n, d, cap_m)) + 1
             )
+        tasks = [
+            (dataclasses.replace(cell, seed=base.seed + 1000 * len(cells) + trial), bound)
             for trial in range(trials_per_cell)
         ]
         if jobs > 1:
@@ -427,8 +436,8 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
     for sample in datagen.gen_stream(truth, config.op_spec(), num_steps, rng):
         U_before = state.U.copy()
         sign_before, logdet_before = np.linalg.slogdet(tracker.M)
-        log_zeta_before = _log_zeta(tracker.M)
-        sv_before = np.clip(np.linalg.svd(tracker.M, compute_uv=False), 0.0, 1.0)
+        cosines_before = metrics.overlap_cosines(tracker.M)
+        log_zeta_before = metrics.log_similarity(cosines_before)
 
         v_par, v_perp = project(U_before, sample.v)
         norm_v_par = float(np.linalg.norm(v_par))
@@ -447,11 +456,11 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         tracker.advance(state, report)
 
         # Identities independent of the update outcome.
-        frob = float(np.sum(1.0 - sv_before**2))
+        frob = float(np.sum(1.0 - cosines_before**2))
         zeta_before = float(np.exp(log_zeta_before))
         note("similarity_vs_frobenius_discrepancy", (1.0 - frob) - zeta_before)
         if norm_v_perp > 1e-12:
-            sin_phi_d = float(np.sqrt(max(0.0, 1.0 - sv_before[-1] ** 2)))
+            sin_phi_d = float(np.sqrt(max(0.0, 1.0 - cosines_before[-1] ** 2)))
             overlap = float(np.linalg.norm(truth.Ubar.T @ v_perp))
             note(
                 "truth_overlap_of_residual",

@@ -14,17 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
-
 # Cosines at or below this are treated as an exact right angle.
-_COSINE_FLOOR = 1e-300
+COSINE_FLOOR = 1e-300
 
 
 class DimensionMismatch(ValueError):
-    pass
-
-
-class ZeroVector(ValueError):
     pass
 
 
@@ -54,27 +48,46 @@ class PrincipalAngleProfile:
         return float(np.arccos(self.cosines[-1]))
 
 
-def principal_angles(U: np.ndarray, Ubar: np.ndarray) -> PrincipalAngleProfile:
-    """Principal angles between span(U) and span(Ubar).
+def overlap_cosines(M: np.ndarray) -> np.ndarray:
+    """Principal-angle cosines from the d x d overlap matrix Ubar^T U.
 
-    The cosines are the singular values of Ubar^T U, clamped to [0, 1];
+    They are the singular values of M, descending and clipped to [0, 1];
     excursions above 1 by rounding (<= ~1e-12) are legitimate and clipped.
+    M is not checked for finiteness: callers pass an overlap matrix they
+    maintain themselves.
     """
+    return np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0)
+
+
+def log_similarity(cosines: np.ndarray) -> float:
+    """log zeta = 2 sum log cos over descending cosines.
+
+    -inf when the smallest cosine is at or below the floor, i.e. some
+    principal angle is a right angle.
+    """
+    if cosines[-1] <= COSINE_FLOOR:
+        return -np.inf
+    return float(2.0 * np.sum(np.log(cosines)))
+
+
+def _checked_overlap(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
     if U.shape != Ubar.shape:
         raise DimensionMismatch(f"shapes differ: {U.shape} vs {Ubar.shape}")
-    sv = numerics.singular_values(Ubar.T @ U)
-    cosines = np.clip(sv, 0.0, 1.0)
+    M = Ubar.T @ U
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix has non-finite entries")
+    return M
+
+
+def principal_angles(U: np.ndarray, Ubar: np.ndarray) -> PrincipalAngleProfile:
+    """Principal angles between span(U) and span(Ubar)."""
+    cosines = overlap_cosines(_checked_overlap(U, Ubar))
     sines_sq = np.clip(1.0 - cosines**2, 0.0, 1.0)
-    if np.any(cosines <= _COSINE_FLOOR):
-        log_zeta = -np.inf
-        zeta = 0.0
-    else:
-        log_zeta = float(2.0 * np.sum(np.log(cosines)))
-        zeta = float(np.exp(log_zeta))
+    log_zeta = log_similarity(cosines)
     return PrincipalAngleProfile(
         cosines=cosines,
         sines=np.sqrt(sines_sq),
-        zeta=zeta,
+        zeta=float(np.exp(log_zeta)),
         log_zeta=log_zeta,
         frob_discrepancy=float(np.sum(sines_sq)),
     )
@@ -97,15 +110,6 @@ def subspace_incoherence(U: np.ndarray) -> float:
     return float(n / d * np.max(row_norms_sq))
 
 
-def vector_incoherence(z: np.ndarray) -> float:
-    """Spread of a vector over coordinates: n * ||z||_inf^2 / ||z||^2."""
-    z = np.asarray(z, dtype=np.float64)
-    nrm_sq = float(z @ z)
-    if nrm_sq == 0.0:
-        raise ZeroVector("incoherence of the zero vector is undefined")
-    return float(z.shape[0] * np.max(np.abs(z)) ** 2 / nrm_sq)
-
-
 def procrustes_distance(U: np.ndarray, Ubar: np.ndarray) -> float:
     """min over orthogonal V of ||Ubar V - U||_F.
 
@@ -113,10 +117,8 @@ def procrustes_distance(U: np.ndarray, Ubar: np.ndarray) -> float:
     V aligns the bases through the SVD of Ubar^T U. Squared, it is
     sandwiched between the Frobenius discrepancy and twice it.
     """
-    if U.shape != Ubar.shape:
-        raise DimensionMismatch(f"shapes differ: {U.shape} vs {Ubar.shape}")
+    cosines = overlap_cosines(_checked_overlap(U, Ubar))
     d = U.shape[1]
-    cosines = np.clip(numerics.singular_values(Ubar.T @ U), 0.0, 1.0)
     return float(np.sqrt(max(0.0, 2.0 * (d - np.sum(cosines)))))
 
 

@@ -2,8 +2,8 @@
 
 Everything here operates on plain float64 numpy arrays. An "orthonormal
 basis" is an n x d array whose columns satisfy ||U^T U - I||_F <= 1e-10;
-constructors in this package go through :func:`orthonormalize` or
-:func:`check_orthonormal` to enforce that.
+constructors in this package go through :func:`orthonormalize` to
+enforce that.
 """
 
 from __future__ import annotations
@@ -14,23 +14,9 @@ import numpy as np
 # RANK_RTOL * largest for a matrix to count as full column rank.
 RANK_RTOL = 1e-10
 
-ORTHONORMALITY_TOL = 1e-10
-
 
 class RankDeficient(ValueError):
     """The matrix does not have full numerical column rank."""
-
-
-def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
-    """Validate the orthonormal-columns invariant and return U unchanged."""
-    U = np.asarray(U, dtype=np.float64)
-    if U.ndim != 2 or U.shape[0] < U.shape[1]:
-        raise ValueError(f"expected a tall n x d matrix, got shape {U.shape}")
-    d = U.shape[1]
-    drift = np.linalg.norm(U.T @ U - np.eye(d))
-    if drift > tol:
-        raise ValueError(f"columns are not orthonormal: drift {drift:.3e} > {tol:.1e}")
-    return U
 
 
 def orthonormality_drift(U: np.ndarray) -> float:
@@ -58,6 +44,9 @@ def orthonormalize(M: np.ndarray, rank_rtol: float = 1e-12) -> np.ndarray:
 def least_squares(B: np.ndarray, x: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     """Unique minimizer w of ||B w - x||_2 via the QR factorization of B.
 
+    x may hold several right-hand sides as columns; w then has one
+    column per right-hand side, all solved with the one factorization.
+
     The QR route keeps the conditioning proportional to cond(B), which
     matters when B is a sampled basis with barely more rows than columns.
     Raises RankDeficient when the smallest singular value of B is at most
@@ -76,14 +65,6 @@ def least_squares(B: np.ndarray, x: np.ndarray, rank_rtol: float = RANK_RTOL) ->
     if sv[0] == 0.0 or sv[-1] <= rank_rtol * sv[0]:
         raise RankDeficient("least-squares matrix is numerically rank deficient")
     return np.linalg.solve(R, Q.T @ x)
-
-
-def singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values of M in descending order."""
-    M = np.asarray(M, dtype=np.float64)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
-    return np.linalg.svd(M, compute_uv=False)
 
 
 def project(U: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -115,11 +115,3 @@ def restrict_basis(op: SamplingOperator, U: np.ndarray) -> np.ndarray:
     if isinstance(op, GaussianSampling):
         return op.matrix @ U
     return U[op.indices]
-
-
-def ambient_dim(op: SamplingOperator) -> int:
-    return op.n
-
-
-def num_measurements(op: SamplingOperator) -> int:
-    return op.m

@@ -111,13 +111,14 @@ def coefficient_split(
 
     Returns (w_par, w_perp): the coefficient contributions of the
     projection of v onto span(U) and of its orthogonal remainder. Their
-    sum is the least-squares solution for the observed vector.
+    sum is the least-squares solution for the observed vector. Both parts
+    come from one solve with a two-column right-hand side.
     """
     v_par, v_perp = numerics.project(U, v)
     B = sampling.restrict_basis(op, U)
-    w_par = numerics.least_squares(B, sampling.apply(op, v_par), rank_rtol=rank_rtol)
-    w_perp = numerics.least_squares(B, sampling.apply(op, v_perp), rank_rtol=rank_rtol)
-    return w_par, w_perp
+    X = np.column_stack((sampling.apply(op, v_par), sampling.apply(op, v_perp)))
+    W = numerics.least_squares(B, X, rank_rtol=rank_rtol)
+    return W[:, 0], W[:, 1]
 
 
 def delta_term(
@@ -131,17 +132,15 @@ def delta_term(
 
     Delta = w_perp^T (Ubar^T U)^{-1} Ubar^T r, where w_perp is the
     coefficient leakage of the orthogonal remainder of v and r is the
-    lifted residual. Zero (to rounding) for full sampling.
+    lifted residual of the least-squares solution w = w_par + w_perp.
+    Zero (to rounding) for full sampling.
     """
     M = Ubar.T @ U
-    sv = numerics.singular_values(M)
-    if sv[-1] <= 1e-300:
+    if metrics.overlap_cosines(M)[-1] <= metrics.COSINE_FLOOR:
         raise SingularOverlap("estimate and truth share no overlap in some direction")
-    _, w_perp = coefficient_split(U, op, v, rank_rtol=rank_rtol)
+    w_par, w_perp = coefficient_split(U, op, v, rank_rtol=rank_rtol)
     B = sampling.restrict_basis(op, U)
-    x = sampling.apply(op, v)
-    w = numerics.least_squares(B, x, rank_rtol=rank_rtol)
-    r = sampling.adjoint(op, x - B @ w)
+    r = sampling.adjoint(op, sampling.apply(op, v) - B @ (w_par + w_perp))
     return float(w_perp @ np.linalg.solve(M, Ubar.T @ r))
 
 

@@ -1,9 +1,13 @@
 import json
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from grassmann_stream import cli, grouse
+from grassmann_stream import cli, grouse, harness, theory
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -186,3 +190,95 @@ def test_float_formatting_17_digits(tmp_path):
     zeta_str = lines[1].split(",")[1]
     # Round-trips exactly through float parsing.
     assert format(float(zeta_str), ".17g") == zeta_str
+
+
+NO_SEED_CFG = {k: v for k, v in BASE_CFG.items() if k != "seed"}
+SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
+
+
+@pytest.mark.parametrize(
+    "command, payload, gs_seed",
+    [
+        ("bounds", {**BASE_CFG, "bounds": [1, 2]}, None),
+        ("run", {**BASE_CFG, "d": 40}, None),
+        ("run", {**BASE_CFG, "op_kind": "entrywise", "m": 41}, None),
+        ("run", {**BASE_CFG, "n": "50"}, None),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": "x"}}, None),
+        ("run", NO_SEED_CFG, "abc"),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "ds": [40]}}, None),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multiple": -1}}, None),
+        ("verify", {**BASE_CFG, "verify": {"num_steps": "x"}}, None),
+        ("histogram", BASE_CFG, None),
+    ],
+    ids=[
+        "bounds_not_object", "d_not_below_n", "entrywise_m_above_n", "n_string",
+        "trials_per_cell_string", "gs_seed_not_int", "sweep_cell_d_not_below_n",
+        "cap_multiple_negative", "verify_num_steps_string", "histogram_missing_block",
+    ],
+)
+def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, command, payload, gs_seed):
+    if gs_seed is not None:
+        monkeypatch.setenv("GS_SEED", gs_seed)
+    cfg = _write_cfg(tmp_path, payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_histogram_matches_monte_carlo_ratio(tmp_path):
+    payload = {
+        **BASE_CFG, "op_kind": "entrywise", "m": 15,
+        "monte_carlo": {"num_steps": 40, "num_trials": 3},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["histogram", "--config", _write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+    lines = (out / "histogram.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "bin_lo,bin_hi,count,mean_ratio,std_err,mean_zeta,theory"
+    config = harness.TrialConfig(
+        **{k: v for k, v in payload.items() if k != "monte_carlo"}
+    )
+    hist = harness.monte_carlo_ratio(config, 40, 3)
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    expected = np.column_stack(
+        (hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.mean_ratio,
+         hist.std_err, hist.mean_zeta, hist.theory)
+    )
+    assert hist.counts.sum() > 0
+    assert np.array_equal(rows, expected, equal_nan=True)
+
+
+def test_sweep_cap_multiple_caps_each_cell(tmp_path, monkeypatch):
+    # m = 3 < d = 4 is rank deficient: its cap uses the bound at m = d + 1.
+    caps = {}
+
+    def fake_run_trial(config):
+        caps.setdefault(config.m, set()).add(config.max_iters)
+        return harness.TrialSeries(config, {}, False, None, 0.0, 0.0)
+
+    monkeypatch.setattr(harness, "run_trial", fake_run_trial)
+    payload = {
+        **BASE_CFG, "op_kind": "entrywise", "m": 10,
+        "sweep": {"ms": [3, 10, 40], "trials_per_cell": 2, "cap_multiple": 2.5},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", _write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+    n, d, zeta_star = BASE_CFG["n"], BASE_CFG["d"], BASE_CFG["zeta_star"]
+    assert caps == {
+        m: {int(2.5 * theory.heuristic_iterations(n, max(m, d + 1), d, zeta_star)) + 1}
+        for m in (3, 10, 40)
+    }
+    assert (out / "grid.csv").read_text(encoding="utf-8").splitlines()[1].endswith(",1")
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_validate(path):
+    cfg = cli._load_config(str(path))
+    commands = [c for block, c in (("sweep", "sweep"), ("monte_carlo", "histogram")) if block in cfg]
+    assert commands
+    for command in commands:
+        cli.parse_config(command, cfg)
+
+
+def test_shipped_configs_present():
+    assert [p.stem for p in CONFIGS] == [
+        "convergence_scaling", "improvement_histogram", "undersampled_sweep"
+    ]

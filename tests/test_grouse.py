@@ -71,6 +71,20 @@ def test_skip_rank_deficient():
     assert np.array_equal(state.U, U_before)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_skip_nonfinite_observation(bad):
+    # A NaN or infinite measurement must not reach the basis.
+    rng = np.random.default_rng(3)
+    state = grouse.init_random(30, 5, rng)
+    U_before = state.U.copy()
+    x = rng.standard_normal(30)
+    x[7] = bad
+    report = grouse.step(state, sampling.make_full(30), x)
+    assert np.array_equal(state.U, U_before)
+    assert np.all(np.isfinite(state.U))
+    assert report.status is StepStatus.SKIPPED_NONFINITE_INPUT
+
+
 def test_norm_p_equals_norm_w():
     rng = np.random.default_rng(4)
     state = grouse.init_random(40, 4, rng)

@@ -84,15 +84,6 @@ def test_subspace_incoherence_extremes():
     assert metrics.subspace_incoherence(H) == pytest.approx(1.0)
 
 
-def test_vector_incoherence():
-    assert metrics.vector_incoherence(np.ones(10)) == pytest.approx(1.0)
-    e = np.zeros(10)
-    e[3] = 2.0
-    assert metrics.vector_incoherence(e) == pytest.approx(10.0)
-    with pytest.raises(metrics.ZeroVector):
-        metrics.vector_incoherence(np.zeros(5))
-
-
 def test_procrustes_distance_known_value():
     # One pi/2 angle in a 1-dim comparison: distance sqrt(2(1-0)) = sqrt 2;
     # one pi/4 angle: sqrt(2 - sqrt 2).

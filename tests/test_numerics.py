@@ -22,13 +22,6 @@ def test_orthonormalize_rejects_rank_deficient():
         numerics.orthonormalize(M)
 
 
-def test_check_orthonormal():
-    U = np.eye(5)[:, :2]
-    numerics.check_orthonormal(U)
-    with pytest.raises(ValueError):
-        numerics.check_orthonormal(U * 1.001)
-
-
 def test_orthonormality_drift_zero_for_orthonormal():
     rng = np.random.default_rng(1)
     U = numerics.orthonormalize(rng.standard_normal((30, 5)))

@@ -9,7 +9,7 @@ def test_full_apply_is_identity():
     v = np.arange(6.0)
     assert np.array_equal(sampling.apply(op, v), v)
     assert np.array_equal(sampling.adjoint(op, v), v)
-    assert sampling.num_measurements(op) == 6
+    assert op.m == 6
 
 
 def test_gaussian_shapes_and_scaling():
@@ -93,13 +93,6 @@ def test_restrict_basis_matches_columnwise_apply(kind):
     B = sampling.restrict_basis(op, U)
     expected = np.column_stack([sampling.apply(op, U[:, j]) for j in range(d)])
     assert np.allclose(B, expected)
-
-
-def test_ambient_dim():
-    rng = np.random.default_rng(5)
-    assert sampling.ambient_dim(sampling.make_full(7)) == 7
-    assert sampling.ambient_dim(sampling.make_gaussian(3, 9, rng)) == 9
-    assert sampling.ambient_dim(sampling.make_entrywise(3, 11, rng)) == 11
 
 
 def test_seeded_determinism():

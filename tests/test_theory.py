@@ -163,12 +163,16 @@ def test_delta_zero_for_full_sampling():
 def test_coefficient_split_sums_to_solution():
     rng = np.random.default_rng(1)
     Ubar = datagen.gen_dense_truth(60, 6, rng).Ubar
-    U = grouse.init_random(60, 6, rng).U
-    v = Ubar @ rng.standard_normal(6)
-    op = sampling.make_gaussian(30, 60, rng)
-    w_par, w_perp = theory.coefficient_split(U, op, v)
-    w = numerics.least_squares(sampling.restrict_basis(op, U), sampling.apply(op, v))
-    assert np.allclose(w_par + w_perp, w, atol=1e-10)
+    for kind in ("full", "gaussian", "entrywise"):
+        for _ in range(5):
+            U = grouse.init_random(60, 6, rng).U
+            v = Ubar @ rng.standard_normal(6)
+            op = datagen.OpSpec(kind, 30).draw(60, rng)
+            w_par, w_perp = theory.coefficient_split(U, op, v)
+            w = numerics.least_squares(
+                sampling.restrict_basis(op, U), sampling.apply(op, v)
+            )
+            assert np.linalg.norm(w_par + w_perp - w) <= 1e-10 * np.linalg.norm(w)
 
 
 def test_schur_identity_oracle():
