@@ -10,6 +10,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -43,7 +45,8 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        # Strict JSON has no NaN or Infinity: an undefined statistic is null.
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -53,7 +56,7 @@ def _jsonable(obj):
 
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2)
+        json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -91,6 +94,17 @@ def _trial_config(cfg: dict, seed_override: int | None) -> harness.TrialConfig:
     return harness.TrialConfig(**kwargs)
 
 
+def _print_json(payload) -> None:
+    print(json.dumps(_jsonable(payload), allow_nan=False))
+
+
+def _integer(name: str, value) -> int:
+    """value if it is an integer (not a bool); int() would truncate 50.7."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _block(cfg: dict, name: str, required: bool = False) -> dict:
     block = cfg.get(name, None if required else {})
     if not isinstance(block, dict):
@@ -126,7 +140,7 @@ def _cmd_run(config: harness.TrialConfig, args) -> int:
     }
     _write_json(out / "summary.json", summary)
     if args.format == "json":
-        print(json.dumps(_jsonable(summary)))
+        _print_json(summary)
     else:
         print(
             f"run: converged={series.converged} "
@@ -141,7 +155,7 @@ def _parse_sweep(cfg: dict, seed: int | None):
     ns = sweep_cfg.get("ns", [base.n])
     ds = sweep_cfg.get("ds", [base.d])
     ms = sweep_cfg.get("ms", [base.m])
-    trials = int(sweep_cfg.get("trials_per_cell", 10))
+    trials = _integer("trials_per_cell", sweep_cfg.get("trials_per_cell", 10))
     grid = [(n, d, m) for n in ns for d in ds for m in ms]
     if not grid or trials < 1:
         raise ConfigError("sweep grid must be non-empty with trials_per_cell >= 1")
@@ -188,7 +202,7 @@ def _cmd_sweep(plan, args) -> int:
         },
     )
     if args.format == "json":
-        print(json.dumps(_jsonable([dataclasses.asdict(c) for c in cells])))
+        _print_json([dataclasses.asdict(c) for c in cells])
     else:
         print(f"sweep: {len(cells)} cells written to grid.csv")
     return EXIT_OK
@@ -196,8 +210,8 @@ def _cmd_sweep(plan, args) -> int:
 
 def _parse_histogram(cfg: dict, seed: int | None):
     mc_cfg = _block(cfg, "monte_carlo", required=True)
-    num_steps = int(mc_cfg.get("num_steps", 300))
-    num_trials = int(mc_cfg.get("num_trials", 50))
+    num_steps = _integer("num_steps", mc_cfg.get("num_steps", 300))
+    num_trials = _integer("num_trials", mc_cfg.get("num_trials", 50))
     if num_steps < 1 or num_trials < 1:
         raise ConfigError("num_steps and num_trials must be >= 1")
     return _trial_config(cfg, seed), num_steps, num_trials
@@ -212,7 +226,7 @@ def _cmd_histogram(plan, args) -> int:
     rows = list(zip(*columns))
     _write_csv(Path(args.out) / "histogram.csv", header, rows)
     if args.format == "json":
-        print(json.dumps(_jsonable([dict(zip(header, row)) for row in rows])))
+        _print_json([dict(zip(header, row)) for row in rows])
     else:
         print(f"histogram: {len(rows)} bins written to histogram.csv")
     return EXIT_OK
@@ -221,7 +235,7 @@ def _cmd_histogram(plan, args) -> int:
 def _parse_verify(cfg: dict, seed: int | None):
     verify_cfg = _block(cfg, "verify")
     config = dataclasses.replace(_trial_config(cfg, seed), diagnostics_level="full")
-    return config, int(verify_cfg.get("num_steps", 200))
+    return config, _integer("num_steps", verify_cfg.get("num_steps", 200))
 
 
 def _cmd_verify(plan, args) -> int:
@@ -232,7 +246,7 @@ def _cmd_verify(plan, args) -> int:
     out = Path(args.out)
     _write_json(out / "verify.json", report)
     if args.format == "json":
-        print(json.dumps(_jsonable(report)))
+        _print_json(report)
     else:
         for name, res in report["identities"].items():
             print(
@@ -246,10 +260,10 @@ def _cmd_verify(plan, args) -> int:
 def _parse_bounds(cfg: dict, seed: int | None) -> dict:
     """Evaluates every closed-form bound; out-of-range parameters raise here."""
     bounds_cfg = _block(cfg, "bounds")
-    n = int(cfg.get("n", bounds_cfg.get("n", 5000)))
-    d = int(cfg.get("d", bounds_cfg.get("d", 10)))
+    n = _integer("n", cfg.get("n", bounds_cfg.get("n", 5000)))
+    d = _integer("d", cfg.get("d", bounds_cfg.get("d", 10)))
     m = cfg.get("m", bounds_cfg.get("m"))
-    m = n if m is None else int(m)
+    m = n if m is None else _integer("m", m)
     rho = float(bounds_cfg.get("rho", 0.1))
     zeta_star = float(cfg.get("zeta_star", bounds_cfg.get("zeta_star", 1.0 - 1e-4)))
     zeta = float(bounds_cfg.get("zeta", 0.5))
@@ -298,7 +312,7 @@ def _cmd_bounds(payload: dict, args) -> int:
     out = Path(args.out)
     _write_json(out / "bounds.json", payload)
     if args.format == "json":
-        print(json.dumps(_jsonable(payload)))
+        _print_json(payload)
     else:
         for key, value in payload.items():
             if isinstance(value, dict):

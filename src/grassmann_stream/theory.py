@@ -113,10 +113,15 @@ def coefficient_split(
     projection of v onto span(U) and of its orthogonal remainder. Their
     sum is the least-squares solution for the observed vector. Both parts
     come from one solve with a two-column right-hand side.
+
+    The measurements of v_perp are those of v minus those of v_par, so a
+    lazy Gaussian operator is not asked about v_perp: near convergence its
+    rounding error would look like a new direction.
     """
-    v_par, v_perp = numerics.project(U, v)
+    v_par, _ = numerics.project(U, v)
     B = sampling.restrict_basis(op, U)
-    X = np.column_stack((sampling.apply(op, v_par), sampling.apply(op, v_perp)))
+    x_par = sampling.apply(op, v_par)
+    X = np.column_stack((x_par, sampling.apply(op, v) - x_par))
     W = numerics.least_squares(B, X, rank_rtol=rank_rtol)
     return W[:, 0], W[:, 1]
 

@@ -177,6 +177,34 @@ def test_bounds_outputs(tmp_path, capsys):
     )
 
 
+def _reject_constant(name):
+    raise ValueError(f"strict JSON has no {name}")
+
+
+def test_json_output_is_strict(tmp_path, capsys):
+    # 20 similarity bins from 2 short trials: most bins are empty, so their
+    # statistics are undefined and must print as null, never as NaN.
+    payload = {
+        **BASE_CFG, "op_kind": "entrywise", "m": 15,
+        "monte_carlo": {"num_steps": 20, "num_trials": 2},
+    }
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, payload)
+    assert cli.main(["histogram", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    bins = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    empty = [b for b in bins if b["count"] == 0]
+    assert empty and all(b["mean_ratio"] is None for b in empty)
+    # Undefined sweep statistics: no trial converges within 2 steps.
+    sweep = {**BASE_CFG, "max_iters": 2, "sweep": {"ns": [40], "ds": [4], "trials_per_cell": 2}}
+    out = tmp_path / "sweep"
+    cfg = _write_cfg(tmp_path, sweep)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    cells = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert cells[0]["mean_ratio"] is None and cells[0]["fail_frac"] == 1.0
+    summary = (out / "summary.json").read_text(encoding="utf-8")
+    json.loads(summary, parse_constant=_reject_constant)
+
+
 def test_bounds_invalid_delta_exits_2(tmp_path):
     cfg = _write_cfg(tmp_path, {"n": 100, "d": 5, "bounds": {"delta": 2.0}})
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -209,11 +237,18 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multiple": -1}}, None),
         ("verify", {**BASE_CFG, "verify": {"num_steps": "x"}}, None),
         ("histogram", BASE_CFG, None),
+        ("bounds", {"n": 50.7, "d": 5}, None),
+        ("bounds", {"n": 50, "d": 5, "bounds": {"m": 20.5}}, None),
+        ("histogram", {**BASE_CFG, "monte_carlo": {"num_steps": 40.5}}, None),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": 2.5}}, None),
+        ("verify", {**BASE_CFG, "verify": {"num_steps": 60.5}}, None),
     ],
     ids=[
         "bounds_not_object", "d_not_below_n", "entrywise_m_above_n", "n_string",
         "trials_per_cell_string", "gs_seed_not_int", "sweep_cell_d_not_below_n",
         "cap_multiple_negative", "verify_num_steps_string", "histogram_missing_block",
+        "bounds_n_not_integer", "bounds_m_not_integer", "histogram_num_steps_not_integer",
+        "trials_per_cell_not_integer", "verify_num_steps_not_integer",
     ],
 )
 def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, command, payload, gs_seed):

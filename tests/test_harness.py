@@ -80,6 +80,29 @@ def test_diagnostics_levels():
     assert np.all(np.abs(full.records["delta"][updated]) < 1e-10)
 
 
+@pytest.mark.parametrize(
+    "base",
+    [
+        dict(n=2000, d=10, m=100, max_iters=300, seed=7),
+        # Runs on to 1 - zeta ~ 1e-10, where v lies almost in span(U).
+        dict(n=300, d=5, m=60, max_iters=5000, zeta_star=1 - 1e-10, seed=1),
+    ],
+    ids=["far", "converging"],
+)
+def test_diagnostics_do_not_steer_a_gaussian_stream(base):
+    # Full diagnostics query each lazy Gaussian operator for v_par and a
+    # residual before the step does; the step must see the same matrix as
+    # without them.
+    base = dict(base, op_kind="gaussian")
+    runs = [
+        harness.run_trial(harness.TrialConfig(**base, diagnostics_level=level))
+        for level in ("none", "basic", "full")
+    ]
+    for series in runs[1:]:
+        assert series.iterations == runs[0].iterations
+        assert series.final_zeta == pytest.approx(runs[0].final_zeta, rel=1e-9, abs=0.0)
+
+
 def test_perturbed_init_starts_near_truth():
     config = harness.TrialConfig(
         n=200, d=5, op_kind="entrywise", m=60, init="perturbed",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grassmann_stream import sampling
+from grassmann_stream import datagen, grouse, metrics, sampling
 
 
 def test_full_apply_is_identity():
@@ -16,9 +16,10 @@ def test_gaussian_shapes_and_scaling():
     rng = np.random.default_rng(0)
     n, m = 400, 50
     op = sampling.make_gaussian(m, n, rng)
-    assert op.matrix.shape == (m, n)
+    A = sampling.restrict_basis(op, np.eye(n))
+    assert A.shape == (m, n)
     # Entries ~ N(0, 1/n): sample variance close to 1/n.
-    var = op.matrix.var()
+    var = A.var()
     assert abs(var - 1.0 / n) < 0.2 / n
 
 
@@ -96,9 +97,127 @@ def test_restrict_basis_matches_columnwise_apply(kind):
 
 
 def test_seeded_determinism():
-    op1 = sampling.make_gaussian(5, 20, np.random.default_rng(42))
-    op2 = sampling.make_gaussian(5, 20, np.random.default_rng(42))
-    assert np.array_equal(op1.matrix, op2.matrix)
+    n = 20
+    op1 = sampling.make_gaussian(5, n, np.random.default_rng(42))
+    op2 = sampling.make_gaussian(5, n, np.random.default_rng(42))
+    assert np.array_equal(
+        sampling.restrict_basis(op1, np.eye(n)), sampling.restrict_basis(op2, np.eye(n))
+    )
     e1 = sampling.make_entrywise(5, 20, np.random.default_rng(42))
     e2 = sampling.make_entrywise(5, 20, np.random.default_rng(42))
     assert np.array_equal(e1.indices, e2.indices)
+
+
+def test_make_gaussian_validates_before_touching_rng():
+    with pytest.raises(ValueError):
+        sampling.make_gaussian(0, 5, None)
+    with pytest.raises(ValueError):
+        sampling.make_gaussian(6, 5, None)
+
+
+def _queries(op, rng, n, m, d):
+    """A mixed sequence of forward and adjoint queries, some in earlier spans."""
+    U = np.linalg.qr(rng.standard_normal((n, d)))[0]
+    v = U @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
+    y = rng.standard_normal(m)
+    forward = [(v, sampling.apply(op, v))]
+    forward.append((U, sampling.restrict_basis(op, U)))
+    adjoint = [(y, sampling.adjoint(op, y))]
+    v_par, v_perp = U @ (U.T @ v), v - U @ (U.T @ v)
+    forward += [(w, sampling.apply(op, w)) for w in (v_par, v_perp, U[:, 2], v)]
+    r = forward[0][1] - forward[1][1] @ rng.standard_normal(d)
+    adjoint += [(z, sampling.adjoint(op, z)) for z in (r, 2.0 * y - r, y)]
+    forward.append((U, sampling.restrict_basis(op, U)))
+    return forward, adjoint
+
+
+def test_gaussian_answers_agree_across_repeated_and_mixed_queries():
+    # Every answer, early or late, agrees with the matrix the operator
+    # settles on once every column is revealed.
+    rng = np.random.default_rng(5)
+    n, m, d = 120, 30, 6
+    op = sampling.make_gaussian(m, n, rng)
+    forward, adjoint = _queries(op, rng, n, m, d)
+    A = sampling.restrict_basis(op, np.eye(n))
+    for w, answer in forward:
+        assert np.allclose(answer, A @ w, rtol=0.0, atol=1e-12)
+    for z, answer in adjoint:
+        assert np.allclose(answer, A.T @ z, rtol=0.0, atol=1e-12)
+    # Column by column agrees with the block query.
+    U = forward[1][0]
+    by_column = np.column_stack([sampling.apply(op, U[:, j]) for j in range(d)])
+    assert np.allclose(by_column, forward[1][1], rtol=0.0, atol=1e-12)
+
+
+def test_gaussian_adjoint_pairing_after_interleaved_queries():
+    # <A w, z> = <w, A^T z> for every pair of answers given so far.
+    rng = np.random.default_rng(6)
+    n, m, d = 80, 25, 4
+    op = sampling.make_gaussian(m, n, rng)
+    forward, adjoint = _queries(op, rng, n, m, d)
+    for _ in range(10):
+        w, z = rng.standard_normal(n), rng.standard_normal(m)
+        forward.append((w, sampling.apply(op, w)))
+        adjoint.append((z, sampling.adjoint(op, z)))
+    for w, Aw in forward:
+        for z, ATz in adjoint:
+            assert np.allclose(z @ Aw, w.T @ ATz, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("offset", [1.0, 1e-8, 0.0])
+def test_gaussian_restriction_is_continuous(offset):
+    # A step queries v, then U. Projected off v, U has d - 1 equal singular
+    # values; a 1e-14 change in U must not rotate its new directions.
+    rng = np.random.default_rng(7)
+    n, m, d = 2000, 200, 8
+    U = np.linalg.qr(rng.standard_normal((n, d)))[0]
+    v = U @ rng.standard_normal(d) + offset * rng.standard_normal(n)
+    answers = []
+    for basis in (U, U + 1e-14 * rng.standard_normal((n, d))):
+        op = sampling.make_gaussian(m, n, np.random.default_rng(8))
+        sampling.apply(op, v)
+        answers.append(sampling.restrict_basis(op, basis))
+    assert np.abs(answers[0] - answers[1]).max() <= 1e-10
+
+
+def _revealed(A):
+    """A Gaussian operator with every column of the dense matrix A revealed."""
+    m, n = A.shape
+    op = sampling.GaussianSampling(m=m, n=n, rng=np.random.default_rng(0))
+    op.Q, op.G = np.eye(n), A
+    return op
+
+
+def _one_step_log_ratios(U, Ubar, draw_op, rng, draws):
+    log_zeta = metrics.principal_angles(U, Ubar).log_zeta
+    out = []
+    for _ in range(draws):
+        v = Ubar @ rng.standard_normal(Ubar.shape[1])
+        op = draw_op()
+        state = grouse.GrouseState(U=U.copy())
+        grouse.step(state, op, sampling.apply(op, v))
+        out.append(metrics.principal_angles(state.U, Ubar).log_zeta - log_zeta)
+    return np.sort(out)
+
+
+@pytest.mark.parametrize("start", ["random", "near_truth"])
+def test_gaussian_step_distribution_matches_dense_sketch(start):
+    # Two-sample Kolmogorov-Smirnov test of the one-step log-similarity
+    # ratio from one state: lazy operators against dense m x n draws.
+    rng = np.random.default_rng(9)
+    n, d, m, draws = 300, 5, 40, 2000
+    truth = datagen.gen_dense_truth(n, d, rng)
+    if start == "random":
+        U = grouse.init_random(n, d, rng).U
+    else:
+        U = datagen.perturb_within_region(truth.Ubar, 0.05, rng)
+    lazy = _one_step_log_ratios(
+        U, truth.Ubar, lambda: sampling.make_gaussian(m, n, rng), rng, draws)
+    dense = _one_step_log_ratios(
+        U, truth.Ubar, lambda: _revealed(rng.standard_normal((m, n)) / np.sqrt(n)),
+        rng, draws)
+    both = np.concatenate((lazy, dense))
+    ks = np.abs(np.searchsorted(lazy, both, side="right")
+                - np.searchsorted(dense, both, side="right")).max() / draws
+    # Critical value at significance 1e-3: sqrt(-log(5e-4) / 2) * sqrt(2 / draws).
+    assert ks < np.sqrt(-np.log(5e-4) / 2) * np.sqrt(2.0 / draws)
