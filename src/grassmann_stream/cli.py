@@ -135,6 +135,8 @@ def _cmd_run(config: harness.TrialConfig, args) -> int:
         "converged": series.converged,
         "iterations_to_target": series.iterations,
         "final_zeta": series.final_zeta,
+        "step_counts": series.step_counts,
+        "reorthonormalizations": series.reorthonormalizations,
         "wall_time_s": series.wall_time,
         "metadata": series.metadata,
     }

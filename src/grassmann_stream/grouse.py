@@ -156,7 +156,9 @@ def _step_impl(
     p = state.U @ w
     direction = (np.cos(theta) - 1.0) / norm_p * p + np.sin(theta) / norm_r * r
     coeffs = w / norm_w
-    state.U += np.outer(direction, coeffs)
+    # The same products as np.outer, whose broadcast multiply is slow for
+    # a short second factor.
+    state.U += np.einsum("i,j->ij", direction, coeffs)
     state.t += 1
     state.steps_since_reorth += 1
 

@@ -100,6 +100,9 @@ class TrialSeries:
     final_zeta: float
     wall_time: float
     metadata: dict = field(default_factory=dict)
+    # Steps per StepStatus value, counted at every diagnostics level.
+    step_counts: dict[str, int] = field(default_factory=dict)
+    reorthonormalizations: int = 0
 
 
 @dataclass
@@ -158,7 +161,7 @@ class _OverlapTracker:
             self.M += np.outer(self.Ubar.T @ report.update_dir, report.update_coeffs)
 
     def zeta(self) -> float:
-        return float(np.exp(metrics.log_similarity(metrics.overlap_cosines(self.M))))
+        return float(np.exp(metrics.log_similarity(self.M)))
 
 
 def run_trial(config: TrialConfig) -> TrialSeries:
@@ -174,6 +177,8 @@ def run_trial(config: TrialConfig) -> TrialSeries:
 
     converged = False
     iterations = None
+    step_counts = dict.fromkeys(StepStatus, 0)
+    reorthonormalizations = 0
     zeta = tracker.zeta()
     stream = datagen.gen_stream(truth, config.op_spec(), config.max_iters, rng)
     for t, sample in enumerate(stream):
@@ -186,6 +191,8 @@ def run_trial(config: TrialConfig) -> TrialSeries:
                 delta = np.nan
         report = grouse.step(state, sample.op, sample.x)
         tracker.advance(state, report)
+        step_counts[report.status] += 1
+        reorthonormalizations += report.reorthonormalized
         zeta = tracker.zeta()
         if full_diag and report.status is StepStatus.UPDATED and np.isfinite(delta):
             bound = theory.step_lower_bound_undersampled(
@@ -218,6 +225,8 @@ def run_trial(config: TrialConfig) -> TrialSeries:
         iterations=iterations,
         final_zeta=zeta,
         wall_time=time.perf_counter() - start,
+        step_counts={status.value: count for status, count in step_counts.items()},
+        reorthonormalizations=reorthonormalizations,
         metadata={"mu0": truth.mu0, "truth_kind": truth.kind},
     )
 
@@ -284,13 +293,13 @@ def monte_carlo_ratio(
         if warmup_targets is not None:
             target = warmup_targets[trial % len(warmup_targets)]
             _warmup_full(state, truth, tracker, target, rng)
-        cosines = metrics.overlap_cosines(tracker.M)
-        log_zeta = metrics.log_similarity(cosines)
+        log_zeta = metrics.log_similarity(tracker.M)
         for sample in datagen.gen_stream(truth, config.op_spec(), num_steps, rng):
+            if theory_step_fn is not None:
+                cosines = metrics.overlap_cosines(tracker.M)
             report = grouse.step(state, sample.op, sample.x)
             tracker.advance(state, report)
-            new_cosines = metrics.overlap_cosines(tracker.M)
-            new_log_zeta = metrics.log_similarity(new_cosines)
+            new_log_zeta = metrics.log_similarity(tracker.M)
             if report.status is StepStatus.UPDATED and np.isfinite(log_zeta):
                 zeta = float(np.exp(log_zeta))
                 ratio = float(np.exp(new_log_zeta - log_zeta))
@@ -303,7 +312,7 @@ def monte_carlo_ratio(
                 if theory_step_fn is not None:
                     phi_d = float(np.arccos(cosines[-1]))
                     theory_sum[b] += theory_step_fn(zeta, phi_d)
-            cosines, log_zeta = new_cosines, new_log_zeta
+            log_zeta = new_log_zeta
 
     with np.errstate(invalid="ignore", divide="ignore"):
         variance = np.where(counts > 1, m2 / np.maximum(counts - 1, 1), np.nan)
@@ -437,7 +446,6 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         U_before = state.U.copy()
         sign_before, logdet_before = np.linalg.slogdet(tracker.M)
         cosines_before = metrics.overlap_cosines(tracker.M)
-        log_zeta_before = metrics.log_similarity(cosines_before)
 
         v_par, v_perp = project(U_before, sample.v)
         norm_v_par = float(np.linalg.norm(v_par))
@@ -457,7 +465,7 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
 
         # Identities independent of the update outcome.
         frob = float(np.sum(1.0 - cosines_before**2))
-        zeta_before = float(np.exp(log_zeta_before))
+        zeta_before = float(np.exp(metrics.log_similarity_from_logdet(logdet_before)))
         note("similarity_vs_frobenius_discrepancy", (1.0 - frob) - zeta_before)
         if norm_v_perp > 1e-12:
             sin_phi_d = float(np.sqrt(max(0.0, 1.0 - cosines_before[-1] ** 2)))

@@ -28,8 +28,8 @@ class PrincipalAngleProfile:
 
     cosines are descending in [0, 1]; zeta = prod cosines^2 (log-domain);
     kappa = 1 - zeta; frob_discrepancy = sum of sin^2 over all angles.
-    log_zeta is -inf when any cosine underflows, so downstream ratios can
-    report "undefined" instead of NaN.
+    log_zeta is -inf when the overlap matrix is exactly singular, so
+    downstream ratios can report "undefined" instead of NaN.
     """
 
     cosines: np.ndarray
@@ -59,15 +59,24 @@ def overlap_cosines(M: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0)
 
 
-def log_similarity(cosines: np.ndarray) -> float:
-    """log zeta = 2 sum log cos over descending cosines.
+def log_similarity(M: np.ndarray) -> float:
+    """log zeta = 2 log |det M| for the d x d overlap matrix M = Ubar^T U.
 
-    -inf when the smallest cosine is at or below the floor, i.e. some
-    principal angle is a right angle.
+    |det M| is the product of the principal-angle cosines, so this is
+    2 sum log cos without computing the angles; the determinant comes from
+    the LU factorization of slogdet. -inf when the determinant is exactly
+    0, i.e. some principal angle is a right angle.
     """
-    if cosines[-1] <= COSINE_FLOOR:
-        return -np.inf
-    return float(2.0 * np.sum(np.log(cosines)))
+    return log_similarity_from_logdet(float(np.linalg.slogdet(M)[1]))
+
+
+def log_similarity_from_logdet(logabsdet: float) -> float:
+    """log zeta from log |det M|, for callers that already ran slogdet on M.
+
+    Capped at 0: rounding can put |det M| a hair above 1, but zeta never
+    exceeds 1.
+    """
+    return min(2.0 * logabsdet, 0.0)
 
 
 def _checked_overlap(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
@@ -81,9 +90,10 @@ def _checked_overlap(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
 
 def principal_angles(U: np.ndarray, Ubar: np.ndarray) -> PrincipalAngleProfile:
     """Principal angles between span(U) and span(Ubar)."""
-    cosines = overlap_cosines(_checked_overlap(U, Ubar))
+    M = _checked_overlap(U, Ubar)
+    cosines = overlap_cosines(M)
     sines_sq = np.clip(1.0 - cosines**2, 0.0, 1.0)
-    log_zeta = log_similarity(cosines)
+    log_zeta = log_similarity(M)
     return PrincipalAngleProfile(
         cosines=cosines,
         sines=np.sqrt(sines_sq),

@@ -33,11 +33,9 @@ def orthonormalize(M: np.ndarray, rank_rtol: float = 1e-12) -> np.ndarray:
     """
     M = np.asarray(M, dtype=np.float64)
     Q, R = np.linalg.qr(M)
-    sv = np.linalg.svd(R, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= rank_rtol * sv[0]:
-        raise RankDeficient(
-            f"matrix of shape {M.shape} has numerical rank below {M.shape[1]}"
-        )
+    _check_full_rank(
+        R, rank_rtol, f"matrix of shape {M.shape} has numerical rank below {M.shape[1]}"
+    )
     return Q
 
 
@@ -51,6 +49,10 @@ def least_squares(B: np.ndarray, x: np.ndarray, rank_rtol: float = RANK_RTOL) ->
     matters when B is a sampled basis with barely more rows than columns.
     Raises RankDeficient when the smallest singular value of B is at most
     rank_rtol times the largest (callers treat this as "skip this step").
+    The triangular factor R is certified full rank from ||R||_F ||R^-1||_F
+    when it is well conditioned; otherwise the singular values of R decide,
+    as they would without the certificate. w is always the LU solve of
+    R w = Q^T x, whichever test decided.
     """
     B = np.asarray(B, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -61,10 +63,29 @@ def least_squares(B: np.ndarray, x: np.ndarray, rank_rtol: float = RANK_RTOL) ->
             f"{B.shape[0]} rows cannot determine {B.shape[1]} coefficients"
         )
     Q, R = np.linalg.qr(B)
+    _check_full_rank(R, rank_rtol, "least-squares matrix is numerically rank deficient")
+    return np.linalg.solve(R, Q.T @ x)
+
+
+def _check_full_rank(R: np.ndarray, rank_rtol: float, message: str) -> None:
+    """Raise RankDeficient(message) unless sigma_min(R) > rank_rtol * sigma_max(R).
+
+    sigma_min >= 1/||R^-1||_F and sigma_max <= ||R||_F, so
+    ||R||_F ||R^-1||_F rank_rtol <= 1/2 proves full rank without the
+    singular values; the factor 2 leaves room for rounding in the computed
+    R^-1. Any other R (including one inv rejects) goes to the singular
+    values, so every decision is the one they make.
+    """
+    try:
+        R_inv = np.linalg.inv(R)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.linalg.norm(R) * np.linalg.norm(R_inv) * rank_rtol <= 0.5:
+            return
     sv = np.linalg.svd(R, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= rank_rtol * sv[0]:
-        raise RankDeficient("least-squares matrix is numerically rank deficient")
-    return np.linalg.solve(R, Q.T @ x)
+        raise RankDeficient(message)
 
 
 def project(U: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -225,9 +225,7 @@ def adjoint(op: SamplingOperator, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=np.float64)
     if isinstance(op, GaussianSampling):
         return op._transpose_times(np.asarray(y, dtype=np.float64)[:, None])[:, 0]
-    out = np.zeros(op.n)
-    np.add.at(out, op.indices, y)
-    return out
+    return np.bincount(op.indices, weights=y, minlength=op.n)
 
 
 def restrict_basis(op: SamplingOperator, U: np.ndarray) -> np.ndarray:

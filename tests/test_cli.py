@@ -62,6 +62,10 @@ def test_run_writes_series_and_summary(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["converged"] is True
     assert summary["config"]["seed"] == 3
+    counts = summary["step_counts"]
+    assert set(counts) == {status.value for status in grouse.StepStatus}
+    assert sum(counts.values()) == len(lines) - 1 == summary["iterations_to_target"]
+    assert isinstance(summary["reorthonormalizations"], int)
 
 
 def test_run_seed_repeatability_byte_identical(tmp_path):

@@ -69,6 +69,124 @@ def test_run_trial_skipped_steps_leave_zeta_unchanged():
         assert zeta[t] == pytest.approx(prev, rel=1e-12)
 
 
+def test_run_trial_counts_steps_at_every_level():
+    # The rank-deficient shape above: the counts match the status column,
+    # and "none", which records no series, still counts.
+    base = dict(
+        n=100, d=8, op_kind="entrywise", m=9, zeta_star=0.9999, max_iters=300, seed=4
+    )
+    basic = harness.run_trial(harness.TrialConfig(**base, diagnostics_level="basic"))
+    status = basic.records["status"]
+    expected = {
+        name: int(np.sum(status == code)) for code, name in harness.STATUS_NAMES.items()
+    }
+    assert basic.step_counts == expected
+    assert expected["skipped_rank_deficient"] > 0 and expected["updated"] > 0
+    none = harness.run_trial(harness.TrialConfig(**base, diagnostics_level="none"))
+    assert none.records == {}
+    assert none.step_counts == expected
+    assert none.reorthonormalizations == basic.reorthonormalizations > 0
+
+
+# (converged, iterations, non-UPDATED steps, final_zeta) of seeds 0-2, as
+# the SVD rank test and SVD similarity produced them. A cheaper kernel must
+# make the same decisions; final_zeta may move by rounding only.
+FROZEN_OUTPUTS = {
+    "entrywise_n2000": (
+        dict(n=2000, d=20, op_kind="entrywise", m=100, zeta_star=1 - 1e-3),
+        [
+            (True, 6206, 0, 0.999002163827323),
+            (True, 6082, 0, 0.9990007794196527),
+            (True, 7065, 0, 0.9990010406970926),
+        ],
+    ),
+    "entrywise_n500": (
+        dict(n=500, d=10, op_kind="entrywise", m=60, zeta_star=1 - 1e-6),
+        [
+            (True, 1982, 0, 0.9999990024824565),
+            (True, 1958, 0, 0.9999990045454084),
+            (True, 1933, 0, 0.9999990027310222),
+        ],
+    ),
+    # m = d: the true residual is zero, so every skip-or-update decision
+    # sits on the DEGENERACY_RTOL threshold of the residual the solve leaves.
+    "entrywise_square": (
+        dict(n=300, d=20, op_kind="entrywise", m=20, zeta_star=1 - 1e-6, max_iters=300),
+        [
+            (False, None, 300, 1.7184093076400046e-33),
+            (False, None, 300, 2.4640940904851587e-33),
+            (False, None, 299, 6.449880562441782e-33),
+        ],
+    ),
+    "full_n300": (
+        dict(n=300, d=5, op_kind="full", zeta_star=1 - 1e-8),
+        [
+            (True, 98, 0, 0.9999999963464146),
+            (True, 89, 0, 0.9999999906008141),
+            (True, 100, 0, 0.9999999951007983),
+        ],
+    ),
+    "gaussian_n500": (
+        dict(n=500, d=5, op_kind="gaussian", m=60, zeta_star=1 - 1e-6),
+        [
+            (True, 834, 0, 0.9999990107689913),
+            (True, 807, 0, 0.9999990155143887),
+            (True, 801, 0, 0.9999990033163582),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_OUTPUTS))
+def test_seeded_outputs_are_frozen(name):
+    base, expected = FROZEN_OUTPUTS[name]
+    for seed, (converged, iterations, skipped, final_zeta) in enumerate(expected):
+        series = harness.run_trial(
+            harness.TrialConfig(**base, seed=seed, diagnostics_level="basic")
+        )
+        assert series.converged == converged
+        assert series.iterations == iterations
+        assert int(np.sum(series.records["status"] != 0)) == skipped
+        assert series.final_zeta == pytest.approx(final_zeta, rel=1e-12, abs=0.0)
+
+
+def _count_svd_calls(monkeypatch) -> list:
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_entrywise_step_takes_no_svd(monkeypatch):
+    # The rank test and log zeta of a step need no SVD; at most a
+    # reorthonormalization whose certificate fails falls back to one.
+    calls = _count_svd_calls(monkeypatch)
+    config = harness.TrialConfig(
+        n=2000, d=20, op_kind="entrywise", m=100, zeta_star=1 - 1e-12,
+        max_iters=300, seed=0, diagnostics_level="none",
+    )
+    series = harness.run_trial(config)
+    assert sum(series.step_counts.values()) == 300
+    assert len(calls) <= series.reorthonormalizations
+
+
+def test_monte_carlo_ratio_takes_no_svd_per_step(monkeypatch):
+    # Angles (an SVD) are needed only for a theory_step_fn's phi_d.
+    calls = _count_svd_calls(monkeypatch)
+    config = harness.TrialConfig(
+        n=500, d=10, op_kind="entrywise", m=60, zeta_star=1 - 1e-12, seed=1
+    )
+    hist = harness.monte_carlo_ratio(config, num_steps=100, num_trials=2)
+    assert hist.counts.sum() > 0
+    # One SVD per step would make 200 calls; allow one fallback per trial.
+    assert len(calls) <= 2
+
+
 def test_diagnostics_levels():
     base = dict(n=40, d=4, op_kind="full", zeta_star=0.99, max_iters=200, seed=5)
     none = harness.run_trial(harness.TrialConfig(**base, diagnostics_level="none"))

@@ -88,3 +88,53 @@ def test_project_in_span_property(seed):
     v = U @ rng.standard_normal(4)
     v_par, v_perp = numerics.project(U, v)
     assert np.linalg.norm(v_perp) < 1e-10 * max(np.linalg.norm(v), 1.0)
+
+
+def _with_singular_values(m, s, seed):
+    """m x len(s) matrix Q diag(s) V^T with random orthonormal Q and V."""
+    rng = np.random.default_rng(seed)
+    Q = numerics.orthonormalize(rng.standard_normal((m, len(s))))
+    V = numerics.orthonormalize(rng.standard_normal((len(s), len(s))))
+    return (Q * s) @ V.T
+
+
+def _rank_cases(rank_rtol):
+    # sigma_min / sigma_max on both sides of the threshold, plus far from it.
+    ratios = [rank_rtol * f for f in (0.5, 0.999, 1.001, 2.0)]
+    ratios += [r for r in (1.0, 1e-5, 1e-12) if not 0.1 < r / rank_rtol < 10.0]
+    for m, d in ((100, 20), (20, 20), (30, 5)):
+        for k, ratio in enumerate(ratios):
+            s = np.geomspace(1.0, ratio, d)
+            yield _with_singular_values(m, s, seed=100 * d + k), ratio <= rank_rtol
+
+
+def _least_squares(B, rank_rtol):
+    return numerics.least_squares(B, np.ones(B.shape[0]), rank_rtol=rank_rtol)
+
+
+@pytest.mark.parametrize(
+    "solve, rank_rtol",
+    [
+        (_least_squares, 1e-10),
+        (_least_squares, 1e-4),
+        (numerics.orthonormalize, 1e-12),
+    ],
+    ids=["least_squares", "least_squares_rtol_1e-4", "orthonormalize"],
+)
+def test_rank_decision_is_the_singular_value_test(solve, rank_rtol):
+    # RankDeficient exactly when sigma_min <= rank_rtol * sigma_max, also
+    # where the ||R||_F ||R^-1||_F certificate cannot decide.
+    rng = np.random.default_rng(6)
+    cases = list(_rank_cases(rank_rtol))
+    B = rng.standard_normal((12, 4))
+    cases.append((np.column_stack((B, B[:, 1])), True))  # exactly singular
+    cases.append((np.column_stack((B, np.zeros(12))), True))  # zero column
+    cases.append((np.zeros((12, 4)), True))
+    cases.append((B[:, :1], False))
+    cases.append((np.zeros((12, 1)), True))
+    for B, deficient in cases:
+        if deficient:
+            with pytest.raises(RankDeficient):
+                solve(B, rank_rtol=rank_rtol)
+        else:
+            solve(B, rank_rtol=rank_rtol)
