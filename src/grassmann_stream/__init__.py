@@ -3,10 +3,9 @@ Grassmannian, with full, Gaussian-compressive, and entry-wise sampling,
 plus closed-form convergence-bound evaluators and a Monte Carlo harness.
 """
 
-from . import cli, datagen, grouse, harness, metrics, numerics, sampling, theory
+from . import datagen, grouse, harness, metrics, numerics, sampling, theory
 
 __all__ = [
-    "cli",
     "datagen",
     "grouse",
     "harness",

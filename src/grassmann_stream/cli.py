@@ -185,9 +185,7 @@ def _parse_sweep(cfg: dict, seed: int | None):
 
 def _cmd_sweep(plan, args) -> int:
     base, sweep_cfg, grid, trials, bound_fn, cap_multiple = plan
-    cells = harness.sweep(
-        base, grid, trials, bound_fn, jobs=args.jobs, cap_multiple=cap_multiple
-    )
+    cells = harness.sweep(base, grid, trials, bound_fn, cap_multiple=cap_multiple)
     out = Path(args.out)
     header = ("n", "d", "m", "mean_ratio", "var_ratio", "fail_frac")
     rows = [
@@ -360,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=int, default=1)
     return parser
 
 

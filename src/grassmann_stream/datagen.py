@@ -42,13 +42,12 @@ class GroundTruth:
 class StreamSample:
     """One observation: hidden vector v, operator, and measurements x = op(v).
 
-    v is retained so ground-truth diagnostics stay computable; set
-    keep_truth=False on the stream to drop it.
+    v is retained so ground-truth diagnostics stay computable.
     """
 
     op: sampling.SamplingOperator
     x: np.ndarray
-    v: np.ndarray | None = None
+    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,6 @@ def gen_stream(
     op_spec: OpSpec,
     T: int,
     rng: np.random.Generator,
-    keep_truth: bool = True,
 ):
     """Yield T observations with a fresh operator and coefficients each."""
     if op_spec.m is not None and op_spec.m > truth.n:
@@ -135,7 +133,7 @@ def gen_stream(
         v = truth.Ubar @ gen_coefficients(truth.d, rng)
         op = op_spec.draw(truth.n, rng)
         x = sampling.apply(op, v)
-        yield StreamSample(op=op, x=x, v=v if keep_truth else None)
+        yield StreamSample(op=op, x=x, v=v)
 
 
 def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:

@@ -21,6 +21,10 @@ from .numerics import RankDeficient
 # Residual / projection magnitudes at or below this fraction of ||x||
 # make the update direction numerically meaningless.
 DEGENERACY_RTOL = 1e-12
+# Every DRIFT_CHECK_EVERY steps since the last reorthonormalization, a
+# drift ||U^T U - I||_F above DRIFT_LIMIT triggers one early.
+DRIFT_LIMIT = 1e-9
+DRIFT_CHECK_EVERY = 25
 
 
 class StepStatus(enum.Enum):
@@ -64,9 +68,6 @@ class GrouseState:
     t: int = 0
     steps_since_reorth: int = 0
     reorth_every: int = 100
-    drift_limit: float = 1e-9
-    drift_check_every: int = 25
-    rank_rtol: float = numerics.RANK_RTOL
 
     @property
     def n(self) -> int:
@@ -126,7 +127,7 @@ def _step_impl(
 
     B = sampling.restrict_basis(op, state.U)
     try:
-        w = numerics.least_squares(B, x, rank_rtol=state.rank_rtol)
+        w = numerics.least_squares(B, x)
     except RankDeficient:
         return StepReport(status=StepStatus.SKIPPED_RANK_DEFICIENT)
 
@@ -178,8 +179,8 @@ def _step_impl(
 
 def _maybe_reorthonormalize(state: GrouseState) -> bool:
     due = state.steps_since_reorth >= state.reorth_every
-    if not due and state.steps_since_reorth % state.drift_check_every == 0:
-        due = numerics.orthonormality_drift(state.U) > state.drift_limit
+    if not due and state.steps_since_reorth % DRIFT_CHECK_EVERY == 0:
+        due = numerics.orthonormality_drift(state.U) > DRIFT_LIMIT
     if due:
         reorthonormalize(state)
     return due

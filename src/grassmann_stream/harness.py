@@ -8,7 +8,6 @@ trial the observation stream is strictly sequential.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import numbers
 import time
@@ -124,52 +123,52 @@ class ImprovementHistogram:
     theory: np.ndarray
     theory_step_mean: np.ndarray
 
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
+class _Trial:
+    """One seeded stream: its truth, its GROUSE state and M = Ubar^T U.
 
-def _setup_trial(config: TrialConfig, rng: np.random.Generator):
-    if config.truth_kind == "dense":
-        truth = datagen.gen_dense_truth(config.n, config.d, rng)
-    else:
-        truth = datagen.gen_sparse_truth(config.n, config.d, rng)
-    if config.init == "random":
-        state = grouse.init_random(
-            config.n, config.d, rng, reorth_every=config.reorth_cadence
-        )
-    else:
-        target = config.init_target
-        if target is None:
-            target = 0.5 * config.d * truth.mu0 / (16.0 * config.n)
-        U0 = datagen.perturb_within_region(truth.Ubar, target, rng)
-        state = grouse.GrouseState(U=U0, reorth_every=config.reorth_cadence)
-    return truth, state
+    step() runs grouse.step, advances M across the rank-one update or a
+    reorthonormalization, and refreshes log_zeta. Diagnostics that query
+    a lazy Gaussian operator must do so between drawing a sample and
+    step(), so the step sees the entries it would have seen without them.
+    """
 
+    def __init__(self, config: TrialConfig, index: int = 0):
+        self.rng = rng = datagen.trial_rng(config.seed, index)
+        if config.truth_kind == "dense":
+            self.truth = datagen.gen_dense_truth(config.n, config.d, rng)
+        else:
+            self.truth = datagen.gen_sparse_truth(config.n, config.d, rng)
+        if config.init == "random":
+            self.state = grouse.init_random(
+                config.n, config.d, rng, reorth_every=config.reorth_cadence
+            )
+        else:
+            target = config.init_target
+            if target is None:
+                target = 0.5 * config.d * self.truth.mu0 / (16.0 * config.n)
+            U0 = datagen.perturb_within_region(self.truth.Ubar, target, rng)
+            self.state = grouse.GrouseState(U=U0, reorth_every=config.reorth_cadence)
+        self.M = self.truth.Ubar.T @ self.state.U
+        self.log_zeta = metrics.log_similarity(self.M)
 
-class _OverlapTracker:
-    """Maintains M = Ubar^T U across rank-one updates and reorthonormalizations."""
+    def stream(self, spec: datagen.OpSpec, num_steps: int):
+        return datagen.gen_stream(self.truth, spec, num_steps, self.rng)
 
-    def __init__(self, Ubar: np.ndarray, U: np.ndarray):
-        self.Ubar = Ubar
-        self.M = Ubar.T @ U
-
-    def advance(self, state: grouse.GrouseState, report: grouse.StepReport) -> None:
+    def step(self, sample: datagen.StreamSample) -> grouse.StepReport:
+        report = grouse.step(self.state, sample.op, sample.x)
         if report.reorthonormalized:
-            self.M = self.Ubar.T @ state.U
+            self.M = self.truth.Ubar.T @ self.state.U
         elif report.update_dir is not None:
-            self.M += np.outer(self.Ubar.T @ report.update_dir, report.update_coeffs)
-
-    def zeta(self) -> float:
-        return float(np.exp(metrics.log_similarity(self.M)))
+            self.M += np.outer(self.truth.Ubar.T @ report.update_dir, report.update_coeffs)
+        self.log_zeta = metrics.log_similarity(self.M)
+        return report
 
 
 def run_trial(config: TrialConfig) -> TrialSeries:
     """Run one seeded stream until the similarity target or the cap."""
     start = time.perf_counter()
-    rng = datagen.trial_rng(config.seed, 0)
-    truth, state = _setup_trial(config, rng)
-    tracker = _OverlapTracker(truth.Ubar, state.U)
+    trial = _Trial(config)
 
     record = config.diagnostics_level != "none"
     full_diag = config.diagnostics_level == "full"
@@ -179,21 +178,19 @@ def run_trial(config: TrialConfig) -> TrialSeries:
     iterations = None
     step_counts = dict.fromkeys(StepStatus, 0)
     reorthonormalizations = 0
-    zeta = tracker.zeta()
-    stream = datagen.gen_stream(truth, config.op_spec(), config.max_iters, rng)
-    for t, sample in enumerate(stream):
+    zeta = float(np.exp(trial.log_zeta))
+    for t, sample in enumerate(trial.stream(config.op_spec(), config.max_iters)):
         delta = np.nan
         bound = np.nan
         if full_diag:
             try:
-                delta = theory.delta_term(state.U, truth.Ubar, sample.op, sample.v)
+                delta = theory.delta_term(trial.state.U, trial.truth.Ubar, sample.op, sample.v)
             except (theory.SingularOverlap, grouse.RankDeficient):
                 delta = np.nan
-        report = grouse.step(state, sample.op, sample.x)
-        tracker.advance(state, report)
+        report = trial.step(sample)
         step_counts[report.status] += 1
         reorthonormalizations += report.reorthonormalized
-        zeta = tracker.zeta()
+        zeta = float(np.exp(trial.log_zeta))
         if full_diag and report.status is StepStatus.UPDATED and np.isfinite(delta):
             bound = theory.step_lower_bound_undersampled(
                 report.norm_p, report.norm_r_tilde, report.norm_r, delta
@@ -227,7 +224,7 @@ def run_trial(config: TrialConfig) -> TrialSeries:
         wall_time=time.perf_counter() - start,
         step_counts={status.value: count for status, count in step_counts.items()},
         reorthonormalizations=reorthonormalizations,
-        metadata={"mu0": truth.mu0, "truth_kind": truth.kind},
+        metadata={"mu0": trial.truth.mu0, "truth_kind": trial.truth.kind},
     )
 
 
@@ -261,24 +258,21 @@ def monte_carlo_ratio(
     num_steps: int,
     num_trials: int,
     bins: int = 20,
-    theory_fn=None,
     theory_step_fn=None,
     warmup_targets=None,
 ) -> ImprovementHistogram:
     """Empirical per-step improvement, binned by pre-step similarity.
 
     Runs num_trials independent streams of num_steps updates each;
-    skipped steps contribute nothing. theory_fn(zeta) is evaluated at
-    bin centers; theory_step_fn(zeta, phi_d), when given, is evaluated
-    at every recorded step and averaged per bin.
+    skipped steps contribute nothing. default_theory_fn(config) is
+    evaluated at bin centers; theory_step_fn(zeta, phi_d), when given, is
+    evaluated at every recorded step and averaged per bin.
 
     warmup_targets, when given, is cycled across trials: before the
-    measured steps, each trial is advanced with cheap fully sampled
-    updates until its similarity reaches the target, so the histogram
+    measured steps, each trial is advanced with at most 20,000 fully
+    sampled updates until its similarity reaches the target, so the histogram
     covers similarity levels a short undersampled run could not reach.
     """
-    if theory_fn is None:
-        theory_fn = default_theory_fn(config)
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     mean = np.zeros(bins)
@@ -286,23 +280,22 @@ def monte_carlo_ratio(
     zeta_sum = np.zeros(bins)
     theory_sum = np.zeros(bins)
 
-    for trial in range(num_trials):
-        rng = datagen.trial_rng(config.seed, trial)
-        truth, state = _setup_trial(config, rng)
-        tracker = _OverlapTracker(truth.Ubar, state.U)
+    for index in range(num_trials):
+        trial = _Trial(config, index)
         if warmup_targets is not None:
-            target = warmup_targets[trial % len(warmup_targets)]
-            _warmup_full(state, truth, tracker, target, rng)
-        log_zeta = metrics.log_similarity(tracker.M)
-        for sample in datagen.gen_stream(truth, config.op_spec(), num_steps, rng):
+            target = warmup_targets[index % len(warmup_targets)]
+            for sample in trial.stream(datagen.OpSpec("full"), 20_000):
+                if np.exp(trial.log_zeta) >= target:
+                    break
+                trial.step(sample)
+        for sample in trial.stream(config.op_spec(), num_steps):
             if theory_step_fn is not None:
-                cosines = metrics.overlap_cosines(tracker.M)
-            report = grouse.step(state, sample.op, sample.x)
-            tracker.advance(state, report)
-            new_log_zeta = metrics.log_similarity(tracker.M)
+                cosines = metrics.overlap_cosines(trial.M)
+            log_zeta = trial.log_zeta
+            report = trial.step(sample)
             if report.status is StepStatus.UPDATED and np.isfinite(log_zeta):
                 zeta = float(np.exp(log_zeta))
-                ratio = float(np.exp(new_log_zeta - log_zeta))
+                ratio = float(np.exp(trial.log_zeta - log_zeta))
                 b = min(int(zeta * bins), bins - 1)
                 counts[b] += 1
                 delta_mean = ratio - mean[b]
@@ -312,7 +305,6 @@ def monte_carlo_ratio(
                 if theory_step_fn is not None:
                     phi_d = float(np.arccos(cosines[-1]))
                     theory_sum[b] += theory_step_fn(zeta, phi_d)
-            log_zeta = new_log_zeta
 
     with np.errstate(invalid="ignore", divide="ignore"):
         variance = np.where(counts > 1, m2 / np.maximum(counts - 1, 1), np.nan)
@@ -322,6 +314,7 @@ def monte_carlo_ratio(
             counts > 0, theory_sum / np.maximum(counts, 1), np.nan
         )
     centers = 0.5 * (edges[:-1] + edges[1:])
+    theory_fn = default_theory_fn(config)
     theory_vals = np.array([theory_fn(c) for c in centers])
     return ImprovementHistogram(
         bin_edges=edges,
@@ -334,16 +327,6 @@ def monte_carlo_ratio(
     )
 
 
-def _warmup_full(state, truth, tracker, target_zeta, rng, cap=20_000):
-    """Advance a trial with fully sampled updates until zeta >= target."""
-    spec = datagen.OpSpec("full")
-    for sample in datagen.gen_stream(truth, spec, cap, rng):
-        if tracker.zeta() >= target_zeta:
-            return
-        report = grouse.step(state, sample.op, sample.x)
-        tracker.advance(state, report)
-
-
 @dataclass
 class SweepCell:
     n: int
@@ -353,14 +336,9 @@ class SweepCell:
     var_ratio: float
     fail_frac: float
     trials: int
-
-
-def _sweep_trial(args):
-    config, bound = args
-    series = run_trial(config)
-    if not series.converged:
-        return None
-    return series.iterations / bound
+    # Summed over the cell's trials: tells a cell that skips from a slow one.
+    step_counts: dict[str, int]
+    wall_time_s: float
 
 
 def sweep(
@@ -368,7 +346,6 @@ def sweep(
     grid: list[tuple[int, int, int | None]],
     trials_per_cell: int,
     bound_fn,
-    jobs: int = 1,
     cap_multiple: float | None = None,
 ) -> list[SweepCell]:
     """Ratio of actual iterations to bound_fn(n, d, m) over a (n, d, m) grid.
@@ -381,6 +358,7 @@ def sweep(
     """
     cells = []
     for n, d, m in grid:
+        start = time.perf_counter()
         bound = bound_fn(n, d, m)
         cell = dataclasses.replace(base, n=n, d=d, m=m, diagnostics_level="none")
         if cap_multiple is not None:
@@ -388,17 +366,16 @@ def sweep(
             cell = dataclasses.replace(
                 cell, max_iters=int(cap_multiple * bound_fn(n, d, cap_m)) + 1
             )
-        tasks = [
-            (dataclasses.replace(cell, seed=base.seed + 1000 * len(cells) + trial), bound)
-            for trial in range(trials_per_cell)
-        ]
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                ratios = list(pool.map(_sweep_trial, tasks))
-        else:
-            ratios = [_sweep_trial(t) for t in tasks]
-        ok = np.array([r for r in ratios if r is not None])
-        failed = sum(r is None for r in ratios)
+        ratios = []
+        step_counts = {status.value: 0 for status in StepStatus}
+        for trial in range(trials_per_cell):
+            seed = base.seed + 1000 * len(cells) + trial
+            series = run_trial(dataclasses.replace(cell, seed=seed))
+            for name, count in series.step_counts.items():
+                step_counts[name] += count
+            if series.converged:
+                ratios.append(series.iterations / bound)
+        ok = np.array(ratios)
         cells.append(
             SweepCell(
                 n=n,
@@ -406,8 +383,10 @@ def sweep(
                 m=m,
                 mean_ratio=float(np.mean(ok)) if ok.size else np.nan,
                 var_ratio=float(np.var(ok, ddof=1)) if ok.size > 1 else np.nan,
-                fail_frac=failed / trials_per_cell,
+                fail_frac=(trials_per_cell - ok.size) / trials_per_cell,
                 trials=trials_per_cell,
+                step_counts=step_counts,
+                wall_time_s=time.perf_counter() - start,
             )
         )
     return cells
@@ -432,9 +411,8 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
     tolerance, passed, samples}}}. Identities that do not apply to the
     configured sampling mode report zero samples.
     """
-    rng = datagen.trial_rng(config.seed, 0)
-    truth, state = _setup_trial(config, rng)
-    tracker = _OverlapTracker(truth.Ubar, state.U)
+    trial = _Trial(config)
+    Ubar = trial.truth.Ubar
     worst = {name: 0.0 for name in INVARIANT_TOLERANCES}
     samples = {name: 0 for name in INVARIANT_TOLERANCES}
 
@@ -442,17 +420,18 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         worst[name] = max(worst[name], float(violation))
         samples[name] += 1
 
-    for sample in datagen.gen_stream(truth, config.op_spec(), num_steps, rng):
-        U_before = state.U.copy()
-        sign_before, logdet_before = np.linalg.slogdet(tracker.M)
-        cosines_before = metrics.overlap_cosines(tracker.M)
+    for sample in trial.stream(config.op_spec(), num_steps):
+        U_before = trial.state.U.copy()
+        sign_before, logdet_before = np.linalg.slogdet(trial.M)
+        cosines_before = metrics.overlap_cosines(trial.M)
+        zeta_before = float(np.exp(trial.log_zeta))
 
         v_par, v_perp = project(U_before, sample.v)
         norm_v_par = float(np.linalg.norm(v_par))
         norm_v_perp = float(np.linalg.norm(v_perp))
 
         try:
-            delta = theory.delta_term(U_before, truth.Ubar, sample.op, sample.v)
+            delta = theory.delta_term(U_before, Ubar, sample.op, sample.v)
         except (theory.SingularOverlap, grouse.RankDeficient):
             delta = None
         try:
@@ -460,16 +439,14 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         except grouse.RankDeficient:
             w_par = None
 
-        report = grouse.step(state, sample.op, sample.x)
-        tracker.advance(state, report)
+        report = trial.step(sample)
 
         # Identities independent of the update outcome.
         frob = float(np.sum(1.0 - cosines_before**2))
-        zeta_before = float(np.exp(metrics.log_similarity_from_logdet(logdet_before)))
         note("similarity_vs_frobenius_discrepancy", (1.0 - frob) - zeta_before)
         if norm_v_perp > 1e-12:
             sin_phi_d = float(np.sqrt(max(0.0, 1.0 - cosines_before[-1] ** 2)))
-            overlap = float(np.linalg.norm(truth.Ubar.T @ v_perp))
+            overlap = float(np.linalg.norm(Ubar.T @ v_perp))
             note(
                 "truth_overlap_of_residual",
                 (overlap - sin_phi_d * norm_v_perp) / norm_v_perp,
@@ -495,11 +472,11 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
             # Reorthonormalization may rotate columns; the determinant
             # identities below compare raw determinants, so recompute the
             # post-step overlap from the pre-reorth update instead.
-            M_after = tracker.Ubar.T @ U_before + np.outer(
-                tracker.Ubar.T @ report.update_dir, report.update_coeffs
+            M_after = Ubar.T @ U_before + np.outer(
+                Ubar.T @ report.update_dir, report.update_coeffs
             )
         else:
-            M_after = tracker.M
+            M_after = trial.M
         sign_after, logdet_after = np.linalg.slogdet(M_after)
         det_ratio = float(sign_before * sign_after * np.exp(logdet_after - logdet_before))
         zeta_ratio = det_ratio**2

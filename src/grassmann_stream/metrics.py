@@ -65,18 +65,10 @@ def log_similarity(M: np.ndarray) -> float:
     |det M| is the product of the principal-angle cosines, so this is
     2 sum log cos without computing the angles; the determinant comes from
     the LU factorization of slogdet. -inf when the determinant is exactly
-    0, i.e. some principal angle is a right angle.
+    0, i.e. some principal angle is a right angle. Capped at 0: rounding
+    can put |det M| a hair above 1, but zeta never exceeds 1.
     """
-    return log_similarity_from_logdet(float(np.linalg.slogdet(M)[1]))
-
-
-def log_similarity_from_logdet(logabsdet: float) -> float:
-    """log zeta from log |det M|, for callers that already ran slogdet on M.
-
-    Capped at 0: rounding can put |det M| a hair above 1, but zeta never
-    exceeds 1.
-    """
-    return min(2.0 * logabsdet, 0.0)
+    return min(2.0 * float(np.linalg.slogdet(M)[1]), 0.0)
 
 
 def _checked_overlap(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:

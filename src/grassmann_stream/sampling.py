@@ -164,7 +164,7 @@ def _cholesky_q(X: np.ndarray, max_dev: float) -> np.ndarray | None:
 class EntrywiseSampling:
     """m coordinates drawn from [0, n); duplicates permitted and kept.
 
-    Sampling with replacement is the default: duplicated indices appear
+    Indices are drawn with replacement: duplicated indices appear
     twice in the measurement vector, and the adjoint sums their
     contributions.
     """
@@ -193,17 +193,10 @@ def make_gaussian(m: int, n: int, rng: np.random.Generator) -> GaussianSampling:
     return GaussianSampling(m=m, n=n, rng=rng.spawn(1)[0])
 
 
-def make_entrywise(
-    m: int, n: int, rng: np.random.Generator, replace: bool = True
-) -> EntrywiseSampling:
+def make_entrywise(m: int, n: int, rng: np.random.Generator) -> EntrywiseSampling:
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not replace and m > n:
-        raise ValueError("cannot draw more than n indices without replacement")
-    if replace:
-        idx = rng.integers(0, n, size=m)
-    else:
-        idx = rng.choice(n, size=m, replace=False)
+    idx = rng.integers(0, n, size=m)
     return EntrywiseSampling(indices=np.asarray(idx, dtype=np.intp), n=n)
 
 

@@ -62,11 +62,6 @@ def expected_rate_full(zeta: float, d: int) -> float:
     return 1.0 + (1.0 - zeta) / d
 
 
-def key_quantity_bound(zeta: float, d: int) -> float:
-    """Lower bound (1 - zeta)/d on the expected normalized residual energy."""
-    return (1.0 - zeta) / d
-
-
 def iteration_bound_full(
     n: int, d: int, rho: float, zeta_star: float, C: float = 1.0
 ) -> ComplexityBound:
@@ -105,7 +100,7 @@ def heuristic_iterations(n: int, m: int, d: int, zeta_star: float) -> float:
 
 
 def coefficient_split(
-    U: np.ndarray, op: sampling.SamplingOperator, v: np.ndarray, rank_rtol: float = numerics.RANK_RTOL
+    U: np.ndarray, op: sampling.SamplingOperator, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the restricted least-squares coefficients of v against U.
 
@@ -122,7 +117,7 @@ def coefficient_split(
     B = sampling.restrict_basis(op, U)
     x_par = sampling.apply(op, v_par)
     X = np.column_stack((x_par, sampling.apply(op, v) - x_par))
-    W = numerics.least_squares(B, X, rank_rtol=rank_rtol)
+    W = numerics.least_squares(B, X)
     return W[:, 0], W[:, 1]
 
 
@@ -131,7 +126,6 @@ def delta_term(
     Ubar: np.ndarray,
     op: sampling.SamplingOperator,
     v: np.ndarray,
-    rank_rtol: float = numerics.RANK_RTOL,
 ) -> float:
     """The perturbation undersampling injects into the determinant update.
 
@@ -143,7 +137,7 @@ def delta_term(
     M = Ubar.T @ U
     if metrics.overlap_cosines(M)[-1] <= metrics.COSINE_FLOOR:
         raise SingularOverlap("estimate and truth share no overlap in some direction")
-    w_par, w_perp = coefficient_split(U, op, v, rank_rtol=rank_rtol)
+    w_par, w_perp = coefficient_split(U, op, v)
     B = sampling.restrict_basis(op, U)
     r = sampling.adjoint(op, sampling.apply(op, v) - B @ (w_par + w_perp))
     return float(w_perp @ np.linalg.solve(M, Ubar.T @ r))
@@ -173,7 +167,8 @@ def expected_rate_cs(
     compressive-sampling guarantee; phi_d is the largest principal angle
     between estimate and truth. The statement's form of g2 (with
     sqrt((1+delta) d/m) in the denominator) is primary; the proof
-    variant with sqrt((1-delta^2) d/m) is recorded in params.
+    variant with sqrt((1-delta^2) d/m) is recorded in params. Vacuous when
+    the probability is 0 or, below zeta = 1, the rate is at most 1.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -183,6 +178,8 @@ def expected_rate_cs(
         raise ValueError("m must not exceed n")
     ratio = m / n
     shrink = 1.0 - 2.0 * delta * math.sqrt(ratio)
+    if shrink <= 0.0:
+        raise ValueError("need 2 delta sqrt(m/n) < 1")
     g1 = (1.0 - delta) * shrink / (1.0 + math.sqrt((1.0 + delta) / (1.0 - delta) * d / m)) ** 2
     tan_term = 2.0 * math.tan(phi_d) + delta * d / math.cos(phi_d)
     g2 = (1.0 + tan_term / (shrink * math.sqrt((1.0 + delta) * d / m))) * (
@@ -205,7 +202,7 @@ def expected_rate_cs(
         "gamma1": g1,
         "gamma2": g2,
         "gamma2_proof_variant": g2_proof,
-        "vacuous": float(prob <= 0.0),
+        "vacuous": float(prob <= 0.0 or (zeta < 1.0 and rate <= 1.0)),
     }
     return RateBound(rate=rate, probability=min(max(prob, 0.0), 1.0), params=params)
 

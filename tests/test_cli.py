@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,9 @@ def test_sweep_grid_csv(tmp_path):
     lines = (out / "grid.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "n,d,m,mean_ratio,var_ratio,fail_frac"
     assert len(lines) == 2
+    (cell,) = json.loads((out / "summary.json").read_text(encoding="utf-8"))["cells"]
+    assert sum(cell["step_counts"].values()) >= 3
+    assert cell["wall_time_s"] > 0.0
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):
@@ -246,6 +251,8 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         ("histogram", {**BASE_CFG, "monte_carlo": {"num_steps": 40.5}}, None),
         ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": 2.5}}, None),
         ("verify", {**BASE_CFG, "verify": {"num_steps": 60.5}}, None),
+        ("bounds", {"n": 5000, "d": 10, "bounds": {"delta": 0.5}}, None),
+        ("bounds", {"n": 5000, "d": 10, "bounds": {"delta": 0.6}}, None),
     ],
     ids=[
         "bounds_not_object", "d_not_below_n", "entrywise_m_above_n", "n_string",
@@ -253,6 +260,7 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         "cap_multiple_negative", "verify_num_steps_string", "histogram_missing_block",
         "bounds_n_not_integer", "bounds_m_not_integer", "histogram_num_steps_not_integer",
         "trials_per_cell_not_integer", "verify_num_steps_not_integer",
+        "bounds_cs_divisor_zero", "bounds_cs_divisor_negative",
     ],
 )
 def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, command, payload, gs_seed):
@@ -261,6 +269,21 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, command, payload, g
     cfg = _write_cfg(tmp_path, payload)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    # README's form for a checkout that is not installed.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    cfg = _write_cfg(tmp_path, {"n": 100, "d": 5})
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassmann_stream.cli", "bounds", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_histogram_matches_monte_carlo_ratio(tmp_path):

@@ -50,15 +50,6 @@ def test_stream_applies_operator():
         assert np.array_equal(sample.x, sample.v[sample.op.indices])
 
 
-def test_stream_drop_truth():
-    rng = np.random.default_rng(5)
-    truth = datagen.gen_dense_truth(30, 3, rng)
-    sample = next(
-        datagen.gen_stream(truth, datagen.OpSpec("full"), 1, rng, keep_truth=False)
-    )
-    assert sample.v is None
-
-
 def test_stream_seed_determinism():
     def collect(seed):
         rng = datagen.trial_rng(seed, 0)

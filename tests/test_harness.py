@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from grassmann_stream import harness, theory
+from grassmann_stream import grouse, harness, theory
 
 
 def test_config_validation():
@@ -148,6 +148,117 @@ def test_seeded_outputs_are_frozen(name):
         assert series.iterations == iterations
         assert int(np.sum(series.records["status"] != 0)) == skipped
         assert series.final_zeta == pytest.approx(final_zeta, rel=1e-12, abs=0.0)
+
+
+# bin -> (count, mean_ratio[, theory_step_mean]) of the populated bins,
+# recorded from the harness when each function had its own loop.
+FROZEN_HISTOGRAMS = {
+    "entrywise": (
+        dict(n=60, d=4, op_kind="entrywise", m=20, seed=21),
+        dict(num_steps=120, num_trials=3),
+        {
+            0: (97, 74.80012611954562), 1: (24, 1.1001627872198623),
+            2: (10, 1.100591988262029), 3: (11, 1.094271932433582),
+            4: (6, 1.1181171527429723), 5: (7, 1.077903946245267),
+            6: (6, 1.092071989382689), 7: (5, 1.058888162043434),
+            8: (5, 1.0745817724784719), 9: (5, 1.065912206874169),
+            10: (7, 1.0460711928432151), 11: (7, 1.0303673485345075),
+            12: (12, 1.0193577627774626), 13: (9, 1.0241567879117663),
+            14: (15, 1.0145185750250836), 15: (17, 1.0109712984248744),
+            16: (17, 1.0105504586208018), 17: (20, 1.007498830956221),
+            18: (37, 1.004357968986671), 19: (43, 1.0015938269364388),
+        },
+    ),
+    "gaussian_step_theory_warmup": (
+        dict(n=60, d=4, op_kind="gaussian", m=20, seed=22),
+        dict(
+            num_steps=40, num_trials=3, warmup_targets=[0.3, 0.95],
+            theory_step_fn=lambda zeta, phi_d: theory.expected_rate_cs(
+                zeta, 4, 20, 60, delta=0.25, phi_d=min(phi_d, 1.5)
+            ).rate,
+        ),
+        {
+            11: (4, 1.0233384807628882, 0.9846199599237347),
+            12: (8, 1.0090473210002382, 0.9888571211929829),
+            13: (3, 1.0223452142658012, 0.9925863517577218),
+            14: (4, 1.015840626704042, 0.9942385313764102),
+            15: (4, 1.0149971043797494, 0.9957102502087775),
+            16: (6, 1.0187146421320565, 0.9969179195440604),
+            17: (13, 1.006553165296107, 0.9983095182373849),
+            18: (20, 1.0039939119048682, 0.9990587756108937),
+            19: (58, 1.0008209329617892, 0.9998519180686007),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_HISTOGRAMS))
+def test_monte_carlo_ratio_is_frozen(name):
+    base, kwargs, expected = FROZEN_HISTOGRAMS[name]
+    hist = harness.monte_carlo_ratio(harness.TrialConfig(**base), **kwargs)
+    assert {int(b) for b in np.flatnonzero(hist.counts)} == set(expected)
+    for b, (count, mean_ratio, *theory_step_mean) in expected.items():
+        assert hist.counts[b] == count
+        assert hist.mean_ratio[b] == pytest.approx(mean_ratio, rel=1e-12, abs=0.0)
+        for value in theory_step_mean:
+            assert hist.theory_step_mean[b] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+# Identity -> (samples, passed) over 100 steps at n=60, d=4, m=20, seed 23,
+# recorded from the verifier when it had its own loop.
+_ALL_SAMPLED = dict.fromkeys(harness.INVARIANT_TOLERANCES, (100, True))
+FROZEN_VERIFY = {
+    "full": {
+        **_ALL_SAMPLED,
+        "schur_determinant_identity": (0, True),
+        "undersampled_lower_bound": (0, True),
+        # Fails once the stream has converged: ||v_perp|| sinks to rounding
+        # level, yet stays above the verifier's absolute 1e-12 cutoff.
+        "truth_overlap_of_residual": (100, False),
+    },
+    "gaussian": {**_ALL_SAMPLED, "full_data_exact_ratio": (0, True)},
+    "entrywise": {**_ALL_SAMPLED, "full_data_exact_ratio": (0, True)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_VERIFY))
+def test_verify_step_invariants_is_frozen(kind):
+    config = harness.TrialConfig(
+        n=60, d=4, op_kind=kind, m=None if kind == "full" else 20, seed=23,
+        diagnostics_level="full",
+    )
+    report = harness.verify_step_invariants(config, 100)
+    observed = {
+        name: (result["samples"], result["passed"])
+        for name, result in report["identities"].items()
+    }
+    assert observed == FROZEN_VERIFY[kind]
+
+
+def test_harness_steps_through_grouse_step(monkeypatch):
+    # The benchmark's tracer and the fault-injection test replace
+    # grouse.step on its module: every harness step must go through it.
+    calls = []
+    real_step = grouse.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(None)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(grouse, "step", counting_step)
+    series = harness.run_trial(
+        harness.TrialConfig(n=100, d=8, op_kind="entrywise", m=9, max_iters=200, seed=4)
+    )
+    assert len(calls) == sum(series.step_counts.values()) > 0
+    calls.clear()
+    config = harness.TrialConfig(
+        n=60, d=4, op_kind="gaussian", m=20, seed=1, diagnostics_level="full"
+    )
+    harness.verify_step_invariants(config, num_steps=50)
+    assert len(calls) == 50
+    calls.clear()
+    harness.monte_carlo_ratio(config, num_steps=30, num_trials=2, warmup_targets=[0.5])
+    assert len(calls) >= 2 * 30
 
 
 def _count_svd_calls(monkeypatch) -> list:
@@ -301,8 +412,17 @@ def test_sweep_impossible_cell_fails():
     cells = harness.sweep(
         base, [(40, 4, 4)], trials_per_cell=3, bound_fn=lambda n, d, m: 100.0
     )
-    assert cells[0].fail_frac == 1.0
-    assert np.isnan(cells[0].mean_ratio)
+    cell = cells[0]
+    assert cell.fail_frac == 1.0
+    assert np.isnan(cell.mean_ratio)
+    # Every step of every trial is counted, by status: this cell fails on
+    # skips, not on slow progress.
+    assert set(cell.step_counts) == {status.value for status in grouse.StepStatus}
+    assert sum(cell.step_counts.values()) == 3 * 50
+    assert cell.step_counts["updated"] == 0
+    assert cell.step_counts["skipped_rank_deficient"] > 0
+    assert cell.step_counts["skipped_zero_residual"] > 0
+    assert cell.wall_time_s > 0.0
 
 
 def test_verify_step_invariants_all_modes():

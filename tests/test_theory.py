@@ -23,11 +23,6 @@ def test_expected_rate_full():
     assert theory.expected_rate_full(0.0, 4) == pytest.approx(1.25)
 
 
-def test_key_quantity_bound():
-    assert theory.key_quantity_bound(0.5, 10) == pytest.approx(0.05)
-    assert theory.key_quantity_bound(1.0, 3) == 0.0
-
-
 def test_iteration_bound_full_frozen():
     # Values computed once by hand-evaluating the closed forms at
     # n=5000, d=10, rho=0.1, zeta_star=1-1e-4, C=1.
@@ -85,6 +80,22 @@ def test_expected_rate_cs_validation():
         theory.expected_rate_cs(0.5, 10, 50, 100, delta=1.5, phi_d=0.1)
     with pytest.raises(ValueError):
         theory.expected_rate_cs(0.5, 10, 50, 100, delta=0.25, phi_d=np.pi / 2)
+    # 1 - 2 delta sqrt(m/n) is a divisor: zero at delta = 1/2, m = n, and
+    # negative beyond.
+    for delta in (0.5, 0.6):
+        with pytest.raises(ValueError):
+            theory.expected_rate_cs(0.5, 10, 5000, 5000, delta=delta, phi_d=0.1)
+
+
+def test_expected_rate_cs_vacuous_when_rate_promises_nothing():
+    # A positive probability with a rate floor below 1 guarantees nothing.
+    rb = theory.expected_rate_cs(0.5, 10, 10_000, 20_000, delta=0.46, phi_d=0.5)
+    assert rb.probability == pytest.approx(0.23, abs=0.01)
+    assert rb.rate < 1.0
+    assert rb.params["vacuous"] == 1.0
+    # At zeta = 1 every rate is exactly 1; only the probability decides.
+    rb = theory.expected_rate_cs(1.0, 10, 10_000, 20_000, delta=0.46, phi_d=0.5)
+    assert rb.rate == 1.0 and rb.params["vacuous"] == 0.0
 
 
 def test_sample_complexity_cs_frozen():
