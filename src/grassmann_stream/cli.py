@@ -137,6 +137,7 @@ def _cmd_run(config: harness.TrialConfig, args) -> int:
         "final_zeta": series.final_zeta,
         "step_counts": series.step_counts,
         "reorthonormalizations": series.reorthonormalizations,
+        "reorth_causes": series.reorth_causes,
         "wall_time_s": series.wall_time,
         "metadata": series.metadata,
     }

@@ -25,6 +25,15 @@ DEGENERACY_RTOL = 1e-12
 # drift ||U^T U - I||_F above DRIFT_LIMIT triggers one early.
 DRIFT_LIMIT = 1e-9
 DRIFT_CHECK_EVERY = 25
+# Why a step reorthonormalizes: its cadence came due, a drift check failed,
+# or the pending factor K grew too ill conditioned (see COND_LIMIT).
+REORTH_CAUSES = ("cadence", "drift", "conditioning")
+# An entry-wise step multiplies the pending factor K of U = V K by
+# I - (1 - cos theta) c c^T, so prod 1/cos(theta) over the steps since K
+# was last folded bounds cond(K). Past COND_LIMIT a step reorthonormalizes;
+# a step with 1/cos(theta) above it takes the dense update instead. The
+# rounding error of a factored update grows like eps cond(K).
+COND_LIMIT = 100.0
 
 
 class StepStatus(enum.Enum):
@@ -40,8 +49,8 @@ class StepReport:
     """Per-iteration diagnostics.
 
     When status is UPDATED, theta = arctan(norm_r / norm_p) and the basis
-    changed by the rank-one matrix outer(update_dir, update_coeffs).
-    Skipped steps leave the basis untouched.
+    changed by a rank-one matrix, given by the update_* fields. Skipped
+    steps leave the basis untouched.
     """
 
     status: StepStatus
@@ -50,32 +59,72 @@ class StepReport:
     norm_r_tilde: float = 0.0
     norm_r: float = 0.0
     theta: float = 0.0
-    reorthonormalized: bool = False
-    # Rank-one factors of the applied update (ambient direction, coefficient
-    # row). Exposed so callers can maintain derived products incrementally.
+    # One of REORTH_CAUSES when the step reorthonormalized.
+    reorth_cause: str | None = None
+    # Rank-one factors of the applied update U += outer(direction,
+    # update_coeffs), exposed so callers can maintain derived products
+    # incrementally. A dense step gives the n-vector direction as
+    # update_dir. An entry-wise step gives direction = U @ update_span plus
+    # the sparse vector with values update_dir on update_rows (repeated rows
+    # add), where U is the basis before the step.
     update_dir: np.ndarray | None = field(default=None, repr=False)
     update_coeffs: np.ndarray | None = field(default=None, repr=False)
+    update_span: np.ndarray | None = field(default=None, repr=False)
+    update_rows: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def reorthonormalized(self) -> bool:
+        return self.reorth_cause is not None
+
+    def overlap_change(self, Ubar: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """Ubar^T direction, given M = Ubar^T U for the basis U before the step.
+
+        O(md + d^2) for an entry-wise step; no n-vector is formed.
+        """
+        if self.update_rows is None:
+            return Ubar.T @ self.update_dir
+        return M @ self.update_span + Ubar[self.update_rows].T @ self.update_dir
 
 
-@dataclass
 class GrouseState:
     """Current basis estimate plus iteration bookkeeping.
+
+    The basis is held as U = V K: V is n x d and K is a pending d x d
+    factor, None when there is none (then U is V itself). An entry-wise
+    step updates K, its inverse and the sampled rows of V only (Brand,
+    Linear Algebra Appl. 415, 2006). Any other update, and every
+    reorthonormalization, first folds K into V.
 
     Single-writer: one logical stream mutates a state sequentially.
     """
 
-    U: np.ndarray
-    t: int = 0
-    steps_since_reorth: int = 0
-    reorth_every: int = 100
+    def __init__(
+        self, U: np.ndarray, t: int = 0, steps_since_reorth: int = 0, reorth_every: int = 100
+    ):
+        self.V = U
+        self.K: np.ndarray | None = None
+        self.K_inv: np.ndarray | None = None
+        # prod 1/cos(theta) over the steps K has absorbed; >= cond_2(K).
+        self.cond_bound = 1.0
+        self.t = t
+        self.steps_since_reorth = steps_since_reorth
+        self.reorth_every = reorth_every
+
+    @property
+    def U(self) -> np.ndarray:
+        """The basis: V itself without a pending K, else a fresh V @ K.
+
+        Reading it never changes the state.
+        """
+        return self.V if self.K is None else self.V @ self.K
 
     @property
     def n(self) -> int:
-        return self.U.shape[0]
+        return self.V.shape[0]
 
     @property
     def d(self) -> int:
-        return self.U.shape[1]
+        return self.V.shape[1]
 
 
 def init_random(n: int, d: int, rng: np.random.Generator, **opts) -> GrouseState:
@@ -125,7 +174,9 @@ def _step_impl(
     if not math.isfinite(norm_x):
         return StepReport(status=StepStatus.SKIPPED_NONFINITE_INPUT)
 
-    B = sampling.restrict_basis(op, state.U)
+    B = sampling.restrict_basis(op, state.V)
+    if state.K is not None:
+        B = B @ state.K
     try:
         w = numerics.least_squares(B, x)
     except RankDeficient:
@@ -153,37 +204,73 @@ def _step_impl(
         )
 
     theta = float(np.arctan2(norm_r, norm_p)) if theta_override is None else theta_override
-
-    p = state.U @ w
-    direction = (np.cos(theta) - 1.0) / norm_p * p + np.sin(theta) / norm_r * r
     coeffs = w / norm_w
-    # The same products as np.outer, whose broadcast multiply is slow for
-    # a short second factor.
-    state.U += np.einsum("i,j->ij", direction, coeffs)
-    state.t += 1
-    state.steps_since_reorth += 1
-
-    reorthed = _maybe_reorthonormalize(state)
-    return StepReport(
+    report = StepReport(
         status=StepStatus.UPDATED,
         w=w,
         norm_p=norm_p,
         norm_r_tilde=norm_r_tilde,
         norm_r=norm_r,
         theta=theta,
-        reorthonormalized=reorthed,
-        update_dir=direction,
         update_coeffs=coeffs,
     )
+    cos_theta = np.cos(theta)
+    # Only an entry-wise r is sparse; full and Gaussian steps stay dense.
+    if isinstance(op, sampling.EntrywiseSampling) and cos_theta * COND_LIMIT > 1.0:
+        # U' = U + (a U w + b r) c^T with c = w/||w||. As a w c^T =
+        # (cos theta - 1) c c^T, K' = K (I - (1 - cos theta) c c^T) and
+        # V' = V + b r c^T K'^-1, where c^T K'^-1 = c^T K^-1 / cos theta.
+        if state.K is None:
+            state.K, state.K_inv = np.eye(state.d), np.eye(state.d)
+        c_K_inv = coeffs @ state.K_inv
+        row = c_K_inv / cos_theta
+        b = np.sin(theta) / norm_r
+        rows = op.indices
+        # A repeated row gathers the same summed r twice and is written
+        # twice with the same value.
+        state.V[rows] += np.einsum("i,j->ij", b * r[rows], row)
+        state.K -= np.einsum("i,j->ij", (1.0 - cos_theta) * (state.K @ coeffs), coeffs)
+        state.K_inv += np.einsum("i,j->ij", coeffs, row - c_K_inv)
+        state.cond_bound /= cos_theta
+        report.update_span = (cos_theta - 1.0) / norm_p * w
+        report.update_dir = b * r_tilde
+        report.update_rows = rows
+    else:
+        _fold(state)
+        p = state.V @ w
+        direction = (cos_theta - 1.0) / norm_p * p + np.sin(theta) / norm_r * r
+        # The same products as np.outer, whose broadcast multiply is slow for
+        # a short second factor.
+        state.V += np.einsum("i,j->ij", direction, coeffs)
+        report.update_dir = direction
+    state.t += 1
+    state.steps_since_reorth += 1
 
-
-def _maybe_reorthonormalize(state: GrouseState) -> bool:
-    due = state.steps_since_reorth >= state.reorth_every
-    if not due and state.steps_since_reorth % DRIFT_CHECK_EVERY == 0:
-        due = numerics.orthonormality_drift(state.U) > DRIFT_LIMIT
-    if due:
+    report.reorth_cause = _reorth_cause(state)
+    if report.reorth_cause is not None:
         reorthonormalize(state)
-    return due
+    return report
+
+
+def _reorth_cause(state: GrouseState) -> str | None:
+    if state.steps_since_reorth >= state.reorth_every:
+        return "cadence"
+    if state.cond_bound > COND_LIMIT:
+        return "conditioning"
+    if (
+        state.steps_since_reorth % DRIFT_CHECK_EVERY == 0
+        and numerics.orthonormality_drift(state.U) > DRIFT_LIMIT
+    ):
+        return "drift"
+    return None
+
+
+def _fold(state: GrouseState) -> None:
+    """Multiply a pending K into V; state.U reads the same array before and after."""
+    if state.K is not None:
+        state.V = state.V @ state.K
+        state.K = state.K_inv = None
+        state.cond_bound = 1.0
 
 
 def reorthonormalize(state: GrouseState) -> None:
@@ -192,5 +279,6 @@ def reorthonormalize(state: GrouseState) -> None:
     The update rule preserves orthonormality analytically; this only
     removes accumulated floating-point drift. The span is unchanged.
     """
-    state.U = numerics.orthonormalize(state.U)
+    _fold(state)
+    state.V = numerics.orthonormalize(state.V)
     state.steps_since_reorth = 0

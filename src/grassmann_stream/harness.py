@@ -102,6 +102,8 @@ class TrialSeries:
     # Steps per StepStatus value, counted at every diagnostics level.
     step_counts: dict[str, int] = field(default_factory=dict)
     reorthonormalizations: int = 0
+    # The same, per cause: "cadence", "drift" or "conditioning".
+    reorth_causes: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -128,9 +130,10 @@ class _Trial:
     """One seeded stream: its truth, its GROUSE state and M = Ubar^T U.
 
     step() runs grouse.step, advances M across the rank-one update or a
-    reorthonormalization, and refreshes log_zeta. Diagnostics that query
-    a lazy Gaussian operator must do so between drawing a sample and
-    step(), so the step sees the entries it would have seen without them.
+    reorthonormalization, and refreshes log_zeta with the sign and
+    log|det M| it comes from. Diagnostics that query a lazy Gaussian
+    operator must do so between drawing a sample and step(), so the step
+    sees the entries it would have seen without them.
     """
 
     def __init__(self, config: TrialConfig, index: int = 0):
@@ -150,7 +153,7 @@ class _Trial:
             U0 = datagen.perturb_within_region(self.truth.Ubar, target, rng)
             self.state = grouse.GrouseState(U=U0, reorth_every=config.reorth_cadence)
         self.M = self.truth.Ubar.T @ self.state.U
-        self.log_zeta = metrics.log_similarity(self.M)
+        self._track()
 
     def stream(self, spec: datagen.OpSpec, num_steps: int):
         return datagen.gen_stream(self.truth, spec, num_steps, self.rng)
@@ -159,10 +162,16 @@ class _Trial:
         report = grouse.step(self.state, sample.op, sample.x)
         if report.reorthonormalized:
             self.M = self.truth.Ubar.T @ self.state.U
-        elif report.update_dir is not None:
-            self.M += np.outer(self.truth.Ubar.T @ report.update_dir, report.update_coeffs)
-        self.log_zeta = metrics.log_similarity(self.M)
+        elif report.update_coeffs is not None:
+            change = report.overlap_change(self.truth.Ubar, self.M)
+            self.M += np.outer(change, report.update_coeffs)
+        self._track()
         return report
+
+    def _track(self) -> None:
+        """(sign, log|det M|) and log zeta of the current M, from one slogdet."""
+        self.sign, self.logdet = np.linalg.slogdet(self.M)
+        self.log_zeta = metrics.log_similarity(self.logdet)
 
 
 def run_trial(config: TrialConfig) -> TrialSeries:
@@ -177,19 +186,22 @@ def run_trial(config: TrialConfig) -> TrialSeries:
     converged = False
     iterations = None
     step_counts = dict.fromkeys(StepStatus, 0)
-    reorthonormalizations = 0
+    reorth_causes = dict.fromkeys(grouse.REORTH_CAUSES, 0)
     zeta = float(np.exp(trial.log_zeta))
     for t, sample in enumerate(trial.stream(config.op_spec(), config.max_iters)):
         delta = np.nan
         bound = np.nan
         if full_diag:
+            U = trial.state.U
             try:
-                delta = theory.delta_term(trial.state.U, trial.truth.Ubar, sample.op, sample.v)
+                split = theory.coefficient_split(U, sample.op, sample.v)
+                delta = theory.delta_term(U, trial.truth.Ubar, sample.op, sample.v, split)
             except (theory.SingularOverlap, grouse.RankDeficient):
                 delta = np.nan
         report = trial.step(sample)
         step_counts[report.status] += 1
-        reorthonormalizations += report.reorthonormalized
+        if report.reorthonormalized:
+            reorth_causes[report.reorth_cause] += 1
         zeta = float(np.exp(trial.log_zeta))
         if full_diag and report.status is StepStatus.UPDATED and np.isfinite(delta):
             bound = theory.step_lower_bound_undersampled(
@@ -223,7 +235,8 @@ def run_trial(config: TrialConfig) -> TrialSeries:
         final_zeta=zeta,
         wall_time=time.perf_counter() - start,
         step_counts={status.value: count for status, count in step_counts.items()},
-        reorthonormalizations=reorthonormalizations,
+        reorthonormalizations=sum(reorth_causes.values()),
+        reorth_causes=reorth_causes,
         metadata={"mu0": trial.truth.mu0, "truth_kind": trial.truth.kind},
     )
 
@@ -422,7 +435,7 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
 
     for sample in trial.stream(config.op_spec(), num_steps):
         U_before = trial.state.U.copy()
-        sign_before, logdet_before = np.linalg.slogdet(trial.M)
+        sign_before, logdet_before = trial.sign, trial.logdet
         cosines_before = metrics.overlap_cosines(trial.M)
         zeta_before = float(np.exp(trial.log_zeta))
 
@@ -430,14 +443,13 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         norm_v_par = float(np.linalg.norm(v_par))
         norm_v_perp = float(np.linalg.norm(v_perp))
 
+        w_par = delta = None
         try:
-            delta = theory.delta_term(U_before, Ubar, sample.op, sample.v)
+            split = theory.coefficient_split(U_before, sample.op, sample.v)
+            w_par = split[0]
+            delta = theory.delta_term(U_before, Ubar, sample.op, sample.v, split)
         except (theory.SingularOverlap, grouse.RankDeficient):
-            delta = None
-        try:
-            w_par, _ = theory.coefficient_split(U_before, sample.op, sample.v)
-        except grouse.RankDeficient:
-            w_par = None
+            pass
 
         report = trial.step(sample)
 
@@ -472,12 +484,13 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
             # Reorthonormalization may rotate columns; the determinant
             # identities below compare raw determinants, so recompute the
             # post-step overlap from the pre-reorth update instead.
-            M_after = Ubar.T @ U_before + np.outer(
-                Ubar.T @ report.update_dir, report.update_coeffs
+            M_before = Ubar.T @ U_before
+            M_after = M_before + np.outer(
+                report.overlap_change(Ubar, M_before), report.update_coeffs
             )
+            sign_after, logdet_after = np.linalg.slogdet(M_after)
         else:
-            M_after = trial.M
-        sign_after, logdet_after = np.linalg.slogdet(M_after)
+            sign_after, logdet_after = trial.sign, trial.logdet
         det_ratio = float(sign_before * sign_after * np.exp(logdet_after - logdet_before))
         zeta_ratio = det_ratio**2
 

@@ -59,16 +59,16 @@ def overlap_cosines(M: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0)
 
 
-def log_similarity(M: np.ndarray) -> float:
+def log_similarity(log_abs_det: float) -> float:
     """log zeta = 2 log |det M| for the d x d overlap matrix M = Ubar^T U.
 
-    |det M| is the product of the principal-angle cosines, so this is
-    2 sum log cos without computing the angles; the determinant comes from
-    the LU factorization of slogdet. -inf when the determinant is exactly
-    0, i.e. some principal angle is a right angle. Capped at 0: rounding
-    can put |det M| a hair above 1, but zeta never exceeds 1.
+    Takes log |det M| as np.linalg.slogdet(M) gives it. |det M| is the
+    product of the principal-angle cosines, so this is 2 sum log cos
+    without computing the angles. -inf when the determinant is exactly 0,
+    i.e. some principal angle is a right angle. Capped at 0: rounding can
+    put |det M| a hair above 1, but zeta never exceeds 1.
     """
-    return min(2.0 * float(np.linalg.slogdet(M)[1]), 0.0)
+    return min(2.0 * float(log_abs_det), 0.0)
 
 
 def _checked_overlap(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
@@ -85,7 +85,7 @@ def principal_angles(U: np.ndarray, Ubar: np.ndarray) -> PrincipalAngleProfile:
     M = _checked_overlap(U, Ubar)
     cosines = overlap_cosines(M)
     sines_sq = np.clip(1.0 - cosines**2, 0.0, 1.0)
-    log_zeta = log_similarity(M)
+    log_zeta = log_similarity(np.linalg.slogdet(M)[1])
     return PrincipalAngleProfile(
         cosines=cosines,
         sines=np.sqrt(sines_sq),

@@ -40,10 +40,11 @@ def orthonormalize(M: np.ndarray, rank_rtol: float = 1e-12) -> np.ndarray:
 
 
 def least_squares(B: np.ndarray, x: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
-    """Unique minimizer w of ||B w - x||_2 via the QR factorization of B.
+    """Unique minimizer w of ||B w - x||_2 via one QR factorization of [B x].
 
-    x may hold several right-hand sides as columns; w then has one
-    column per right-hand side, all solved with the one factorization.
+    Its triangular factor holds the R of B = Q R in its leading d x d
+    block and Q^T x in its trailing columns. x may hold several right-hand
+    sides as columns; w then has one column per right-hand side.
 
     The QR route keeps the conditioning proportional to cond(B), which
     matters when B is a sampled basis with barely more rows than columns.
@@ -62,9 +63,11 @@ def least_squares(B: np.ndarray, x: np.ndarray, rank_rtol: float = RANK_RTOL) ->
         raise RankDeficient(
             f"{B.shape[0]} rows cannot determine {B.shape[1]} coefficients"
         )
-    Q, R = np.linalg.qr(B)
+    d = B.shape[1]
+    R_Bx = np.linalg.qr(np.column_stack((B, x)), mode="r")
+    R, Qt_x = R_Bx[:d, :d], R_Bx[:d, d:]
     _check_full_rank(R, rank_rtol, "least-squares matrix is numerically rank deficient")
-    return np.linalg.solve(R, Q.T @ x)
+    return np.linalg.solve(R, Qt_x if x.ndim == 2 else Qt_x[:, 0])
 
 
 def _check_full_rank(R: np.ndarray, rank_rtol: float, message: str) -> None:

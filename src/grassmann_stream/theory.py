@@ -126,18 +126,20 @@ def delta_term(
     Ubar: np.ndarray,
     op: sampling.SamplingOperator,
     v: np.ndarray,
+    split: tuple[np.ndarray, np.ndarray],
 ) -> float:
     """The perturbation undersampling injects into the determinant update.
 
     Delta = w_perp^T (Ubar^T U)^{-1} Ubar^T r, where w_perp is the
     coefficient leakage of the orthogonal remainder of v and r is the
     lifted residual of the least-squares solution w = w_par + w_perp.
-    Zero (to rounding) for full sampling.
+    split is (w_par, w_perp) = coefficient_split(U, op, v), which callers
+    also use on its own. Zero (to rounding) for full sampling.
     """
     M = Ubar.T @ U
     if metrics.overlap_cosines(M)[-1] <= metrics.COSINE_FLOOR:
         raise SingularOverlap("estimate and truth share no overlap in some direction")
-    w_par, w_perp = coefficient_split(U, op, v)
+    w_par, w_perp = split
     B = sampling.restrict_basis(op, U)
     r = sampling.adjoint(op, sampling.apply(op, v) - B @ (w_par + w_perp))
     return float(w_perp @ np.linalg.solve(M, Ubar.T @ r))

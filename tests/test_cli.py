@@ -68,6 +68,9 @@ def test_run_writes_series_and_summary(tmp_path, capsys):
     assert set(counts) == {status.value for status in grouse.StepStatus}
     assert sum(counts.values()) == len(lines) - 1 == summary["iterations_to_target"]
     assert isinstance(summary["reorthonormalizations"], int)
+    causes = summary["reorth_causes"]
+    assert set(causes) == set(grouse.REORTH_CAUSES)
+    assert sum(causes.values()) == summary["reorthonormalizations"]
 
 
 def test_run_seed_repeatability_byte_identical(tmp_path):

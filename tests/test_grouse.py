@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grassmann_stream import datagen, grouse, metrics, numerics, sampling
+from grassmann_stream import datagen, grouse, harness, metrics, numerics, sampling
 from grassmann_stream.grouse import StepStatus
 
 
@@ -186,3 +186,94 @@ def test_initial_similarity_scale():
     mean = np.mean(vals)
     expected = 1.0 / n  # exact E[cos^2] for a random line vs fixed line
     assert abs(mean - expected) < 4 * np.std(vals) / np.sqrt(trials)
+
+
+# --- the factored basis U = V K of entry-wise steps -------------------------
+
+
+def _reference_step(U, op, x, theta=None):
+    """The GROUSE step on a dense basis, written out: U + (a U w + b r) w^T/||w||."""
+    B = sampling.restrict_basis(op, U)
+    w = numerics.least_squares(B, x)
+    r = sampling.adjoint(op, x - B @ w)
+    norm_w, norm_r = np.linalg.norm(w), np.linalg.norm(r)
+    if theta is None:
+        theta = np.arctan2(norm_r, norm_w)
+    direction = (np.cos(theta) - 1.0) / norm_w * (U @ w) + np.sin(theta) / norm_r * r
+    return U + np.outer(direction, w / norm_w)
+
+
+def _beside_reference(step, U_ref, samples):
+    """Yield (report, U_ref) after step(sample) for each sample, where U_ref
+    follows the dense reference and is reorthonormalized where step was."""
+    for sample in samples:
+        report = step(sample)
+        assert report.status is StepStatus.UPDATED
+        U_ref = _reference_step(U_ref, sample.op, sample.x)
+        if report.reorthonormalized:
+            U_ref = numerics.orthonormalize(U_ref)
+        yield report, U_ref
+
+
+def test_factored_steps_match_dense_reference_and_tracked_overlap():
+    # 300 entry-wise steps from a random start, through the harness's
+    # trial so that its tracked M = Ubar^T U is checked too.
+    config = harness.TrialConfig(n=300, d=8, op_kind="entrywise", m=40, seed=12)
+    trial = harness._Trial(config)
+    samples = trial.stream(config.op_spec(), 300)
+    worst_U = worst_M = 0.0
+    causes = set()
+    for report, U_ref in _beside_reference(trial.step, trial.state.U.copy(), samples):
+        causes.add(report.reorth_cause)
+        U = trial.state.U
+        worst_U = max(worst_U, float(np.abs(U - U_ref).max()))
+        worst_M = max(worst_M, float(np.abs(trial.M - trial.truth.Ubar.T @ U).max()))
+    assert {"conditioning", "cadence"} <= causes
+    assert worst_U <= 1e-10
+    assert worst_M <= 1e-12
+
+
+def test_factored_step_leaves_unsampled_rows_unchanged():
+    rng = np.random.default_rng(13)
+    state = grouse.init_random(200, 6, rng)
+    truth = datagen.gen_dense_truth(200, 6, rng)
+    (sample,) = datagen.gen_stream(truth, datagen.OpSpec("entrywise", 30), 1, rng)
+    V_before = state.V.copy()
+    report = grouse.step(state, sample.op, sample.x)
+    assert report.status is StepStatus.UPDATED and not report.reorthonormalized
+    unsampled = np.setdiff1d(np.arange(200), sample.op.indices)
+    assert np.array_equal(state.V[unsampled], V_before[unsampled])
+    assert not np.array_equal(state.V, V_before)
+
+
+def test_right_angle_entrywise_step_takes_the_dense_update():
+    # cos(pi/2) ~ 6e-17 would make K singular; the step folds K and takes
+    # the dense update instead.
+    rng = np.random.default_rng(14)
+    state = grouse.init_random(200, 6, rng, reorth_every=10**9)
+    truth = datagen.gen_dense_truth(200, 6, rng)
+    samples = list(datagen.gen_stream(truth, datagen.OpSpec("entrywise", 30), 6, rng))
+    for sample in samples[:5]:
+        grouse.step(state, sample.op, sample.x)
+    assert state.K is not None
+    U_ref = _reference_step(state.U, samples[5].op, samples[5].x, theta=np.pi / 2)
+    report = grouse.step_with_angle(state, samples[5].op, samples[5].x, np.pi / 2)
+    assert report.status is StepStatus.UPDATED
+    assert np.all(np.isfinite(state.U))
+    assert numerics.orthonormality_drift(state.U) < 1e-9
+    assert np.abs(state.U - U_ref).max() <= 1e-12
+
+
+def test_entrywise_full_entrywise_matches_dense_reference():
+    # A dense operator arriving on a factored state folds K into V first.
+    rng = np.random.default_rng(15)
+    state = grouse.init_random(200, 6, rng, reorth_every=10**9)
+    truth = datagen.gen_dense_truth(200, 6, rng)
+    samples = []
+    for spec, count in (("entrywise", 30), ("full", 5), ("entrywise", 30)):
+        op_spec = datagen.OpSpec(spec, None if spec == "full" else 30)
+        samples += list(datagen.gen_stream(truth, op_spec, count, rng))
+    steps = _beside_reference(
+        lambda sample: grouse.step(state, sample.op, sample.x), state.U.copy(), samples
+    )
+    assert max(float(np.abs(state.U - U_ref).max()) for _, U_ref in steps) <= 1e-10

@@ -1,9 +1,10 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from grassmann_stream import grouse, harness, theory
+from grassmann_stream import grouse, harness, numerics, sampling, theory
 
 
 def test_config_validation():
@@ -86,6 +87,21 @@ def test_run_trial_counts_steps_at_every_level():
     assert none.records == {}
     assert none.step_counts == expected
     assert none.reorthonormalizations == basic.reorthonormalizations > 0
+
+
+def test_run_trial_counts_reorthonormalizations_by_cause():
+    # Large early steps from a random start make the pending factor K of
+    # the entry-wise basis ill conditioned before the cadence of 100 is due.
+    series = harness.run_trial(
+        harness.TrialConfig(
+            n=300, d=8, op_kind="entrywise", m=40, zeta_star=1 - 1e-12,
+            max_iters=150, seed=12, diagnostics_level="none",
+        )
+    )
+    causes = series.reorth_causes
+    assert set(causes) == set(grouse.REORTH_CAUSES)
+    assert causes["conditioning"] > 0
+    assert sum(causes.values()) == series.reorthonormalizations
 
 
 # (converged, iterations, non-UPDATED steps, final_zeta) of seeds 0-2, as
@@ -259,6 +275,22 @@ def test_harness_steps_through_grouse_step(monkeypatch):
     calls.clear()
     harness.monte_carlo_ratio(config, num_steps=30, num_trials=2, warmup_targets=[0.5])
     assert len(calls) >= 2 * 30
+    # The tracer's per-layer numbers also need each layer called through
+    # its module: one entry-wise step makes one call to each.
+    layer_calls = Counter()
+    for module, name in (
+        (sampling, "restrict_basis"), (sampling, "adjoint"), (numerics, "least_squares")
+    ):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            layer_calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    series = harness.run_trial(
+        harness.TrialConfig(n=100, d=8, op_kind="entrywise", m=40, max_iters=1, seed=4)
+    )
+    assert series.step_counts["updated"] == 1
+    assert layer_calls == {"restrict_basis": 1, "adjoint": 1, "least_squares": 1}
 
 
 def _count_svd_calls(monkeypatch) -> list:

@@ -167,7 +167,8 @@ def test_delta_zero_for_full_sampling():
         Ubar = datagen.gen_dense_truth(40, 5, rng).Ubar
         U = grouse.init_random(40, 5, rng).U
         v = Ubar @ rng.standard_normal(5)
-        delta = theory.delta_term(U, Ubar, sampling.make_full(40), v)
+        op = sampling.make_full(40)
+        delta = theory.delta_term(U, Ubar, op, v, theory.coefficient_split(U, op, v))
         assert abs(delta) < 1e-12
 
 
@@ -203,7 +204,8 @@ def test_schur_identity_oracle():
                 if kind == "gaussian"
                 else sampling.make_entrywise(m, n, rng)
             )
-            delta = theory.delta_term(U_before, Ubar, op, v)
+            split = theory.coefficient_split(U_before, op, v)
+            delta = theory.delta_term(U_before, Ubar, op, v, split)
             report = grouse.step(state, op, sampling.apply(op, v))
             assert report.status is grouse.StepStatus.UPDATED
             s0, l0 = metrics.log_det_overlap(U_before, Ubar)
@@ -223,7 +225,8 @@ def test_step_lower_bound_holds_on_trajectories():
     checked = 0
     for sample in datagen.gen_stream(truth, datagen.OpSpec("entrywise", m), 150, rng):
         U_before = state.U.copy()
-        delta = theory.delta_term(U_before, truth.Ubar, sample.op, sample.v)
+        split = theory.coefficient_split(U_before, sample.op, sample.v)
+        delta = theory.delta_term(U_before, truth.Ubar, sample.op, sample.v, split)
         before = metrics.principal_angles(U_before, truth.Ubar).log_zeta
         report = grouse.step(state, sample.op, sample.x)
         if report.status is not grouse.StepStatus.UPDATED:
@@ -248,9 +251,11 @@ def test_step_lower_bound_missing_reduction():
 
 
 def test_delta_singular_overlap_raises():
+    # Fully sampled, so the split exists while the overlap is singular.
     Ubar = np.eye(6)[:, :2]
     U = np.eye(6)[:, 2:4]
-    rng = np.random.default_rng(4)
-    op = sampling.make_entrywise(4, 6, rng)
+    op = sampling.make_full(6)
+    v = Ubar @ np.ones(2)
+    split = theory.coefficient_split(U, op, v)
     with pytest.raises(theory.SingularOverlap):
-        theory.delta_term(U, Ubar, op, Ubar @ np.ones(2))
+        theory.delta_term(U, Ubar, op, v, split)
