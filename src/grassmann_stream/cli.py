@@ -235,8 +235,7 @@ def _cmd_histogram(plan, args) -> int:
 
 def _parse_verify(cfg: dict, seed: int | None):
     verify_cfg = _block(cfg, "verify")
-    config = dataclasses.replace(_trial_config(cfg, seed), diagnostics_level="full")
-    return config, _integer("num_steps", verify_cfg.get("num_steps", 200))
+    return _trial_config(cfg, seed), _integer("num_steps", verify_cfg.get("num_steps", 200))
 
 
 def _cmd_verify(plan, args) -> int:

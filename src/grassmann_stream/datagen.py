@@ -79,26 +79,17 @@ def gen_dense_truth(n: int, d: int, rng: np.random.Generator) -> GroundTruth:
     return GroundTruth(Ubar=Ubar, kind="dense", mu0=metrics.subspace_incoherence(Ubar))
 
 
-def default_sparse_density(n: int, d: int) -> float:
-    # Constant 4 keeps the expected nonzeros per column comfortably above d
-    # at the sizes used in the experiments.
-    return min(1.0, max(4.0 * math.log(n), 2.0 * d) / n)
-
-
-def gen_sparse_truth(
-    n: int, d: int, rng: np.random.Generator, density: float | None = None
-) -> GroundTruth:
+def gen_sparse_truth(n: int, d: int, rng: np.random.Generator) -> GroundTruth:
     """Orthonormalized sparse matrix: each entry nonzero w.p. density.
 
-    Nonzero values are standard normal. Redraws on rank deficiency, up to
-    a fixed limit.
+    density = min(1, max(4 log n, 2 d) / n); the constant 4 keeps the
+    expected nonzeros per column comfortably above d at the sizes used in
+    the experiments. Nonzero values are standard normal. Redraws on rank
+    deficiency, up to a fixed limit.
     """
     if not 1 <= d < n:
         raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
-    if density is None:
-        density = default_sparse_density(n, d)
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must lie in (0, 1]")
+    density = min(1.0, max(4.0 * math.log(n), 2.0 * d) / n)
     for _ in range(_SPARSE_MAX_REDRAWS):
         mask = rng.random((n, d)) < density
         M = np.where(mask, rng.standard_normal((n, d)), 0.0)

@@ -21,8 +21,10 @@ from .numerics import RankDeficient
 # Residual / projection magnitudes at or below this fraction of ||x||
 # make the update direction numerically meaningless.
 DEGENERACY_RTOL = 1e-12
-# Every DRIFT_CHECK_EVERY steps since the last reorthonormalization, a
-# drift ||U^T U - I||_F above DRIFT_LIMIT triggers one early.
+# The basis is reorthonormalized every REORTH_EVERY steps. Every
+# DRIFT_CHECK_EVERY steps since the last reorthonormalization, a drift
+# ||U^T U - I||_F above DRIFT_LIMIT triggers one early.
+REORTH_EVERY = 100
 DRIFT_LIMIT = 1e-9
 DRIFT_CHECK_EVERY = 25
 # Why a step reorthonormalizes: its cadence came due, a drift check failed,
@@ -98,17 +100,13 @@ class GrouseState:
     Single-writer: one logical stream mutates a state sequentially.
     """
 
-    def __init__(
-        self, U: np.ndarray, t: int = 0, steps_since_reorth: int = 0, reorth_every: int = 100
-    ):
+    def __init__(self, U: np.ndarray):
         self.V = U
         self.K: np.ndarray | None = None
         self.K_inv: np.ndarray | None = None
         # prod 1/cos(theta) over the steps K has absorbed; >= cond_2(K).
         self.cond_bound = 1.0
-        self.t = t
-        self.steps_since_reorth = steps_since_reorth
-        self.reorth_every = reorth_every
+        self.steps_since_reorth = 0
 
     @property
     def U(self) -> np.ndarray:
@@ -127,7 +125,7 @@ class GrouseState:
         return self.V.shape[1]
 
 
-def init_random(n: int, d: int, rng: np.random.Generator, **opts) -> GrouseState:
+def init_random(n: int, d: int, rng: np.random.Generator) -> GrouseState:
     """State whose basis spans a uniformly random d-dimensional subspace.
 
     The basis is the orthonormalization of an n x d standard-normal draw.
@@ -135,37 +133,23 @@ def init_random(n: int, d: int, rng: np.random.Generator, **opts) -> GrouseState
     if not 1 <= d < n:
         raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
     U = numerics.orthonormalize(rng.standard_normal((n, d)))
-    return GrouseState(U=U, **opts)
+    return GrouseState(U=U)
 
 
-def step(state: GrouseState, op: sampling.SamplingOperator, x: np.ndarray) -> StepReport:
-    """One update with the adaptive angle theta = arctan(||r|| / ||p||)."""
-    return _step_impl(state, op, x, theta_override=None)
-
-
-def step_with_angle(
+def step(
     state: GrouseState,
     op: sampling.SamplingOperator,
     x: np.ndarray,
-    theta_override: float,
+    theta: float | None = None,
 ) -> StepReport:
-    """One update with a caller-chosen rotation angle in [0, pi/2].
+    """One update, by default with the greedy angle theta = arctan(||r|| / ||p||).
 
-    With the angle equal to arctan(||r|| / ||p||) this is identical to
-    :func:`step`; other angles are mainly useful for probing the
-    per-step similarity-ratio identity.
+    A caller-chosen theta in [0, pi/2] replaces the greedy angle; other
+    angles are mainly useful for probing the per-step similarity-ratio
+    identity.
     """
-    if not 0.0 <= theta_override <= np.pi / 2:
-        raise ValueError("theta_override must lie in [0, pi/2]")
-    return _step_impl(state, op, x, theta_override=theta_override)
-
-
-def _step_impl(
-    state: GrouseState,
-    op: sampling.SamplingOperator,
-    x: np.ndarray,
-    theta_override: float | None,
-) -> StepReport:
+    if theta is not None and not 0.0 <= theta <= np.pi / 2:
+        raise ValueError("theta must lie in [0, pi/2]")
     if op.n != state.n:
         raise ValueError("operator ambient dimension does not match the state")
     x = np.asarray(x, dtype=np.float64)
@@ -203,7 +187,8 @@ def _step_impl(
             theta=0.0,
         )
 
-    theta = float(np.arctan2(norm_r, norm_p)) if theta_override is None else theta_override
+    if theta is None:
+        theta = float(np.arctan2(norm_r, norm_p))
     coeffs = w / norm_w
     report = StepReport(
         status=StepStatus.UPDATED,
@@ -243,7 +228,6 @@ def _step_impl(
         # a short second factor.
         state.V += np.einsum("i,j->ij", direction, coeffs)
         report.update_dir = direction
-    state.t += 1
     state.steps_since_reorth += 1
 
     report.reorth_cause = _reorth_cause(state)
@@ -253,7 +237,7 @@ def _step_impl(
 
 
 def _reorth_cause(state: GrouseState) -> str | None:
-    if state.steps_since_reorth >= state.reorth_every:
+    if state.steps_since_reorth >= REORTH_EVERY:
         return "cadence"
     if state.cond_bound > COND_LIMIT:
         return "conditioning"

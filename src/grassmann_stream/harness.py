@@ -50,24 +50,21 @@ class TrialConfig:
     m: int | None = None  # measurements per vector; ignored for 'full'
     truth_kind: str = "dense"  # 'dense' | 'sparse'
     init: str = "random"  # 'random' | 'perturbed'
-    init_target: float | None = None  # Frobenius discrepancy for 'perturbed'
     zeta_star: float = 1.0 - 1e-4
     max_iters: int = 10_000
     seed: int = 0
-    reorth_cadence: int = 100
     diagnostics_level: str = "basic"  # 'none' | 'basic' | 'full'
 
     def __post_init__(self):
-        for name in ("n", "d", "m", "max_iters", "seed", "reorth_cadence"):
+        for name in ("n", "d", "m", "max_iters", "seed"):
             _check_type(self, name, numbers.Integral, "an integer")
-        for name in ("zeta_star", "init_target"):
-            _check_type(self, name, numbers.Real, "a number")
+        _check_type(self, "zeta_star", numbers.Real, "a number")
         if not 1 <= self.d < self.n:
             raise ValueError(f"need 1 <= d < n, got d={self.d}, n={self.n}")
         if not 0.0 < self.zeta_star < 1.0:
             raise ValueError("zeta_star must lie in (0, 1)")
-        if self.max_iters < 1 or self.reorth_cadence < 1:
-            raise ValueError("max_iters and reorth_cadence must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         self.op_spec()  # OpSpec validates op_kind and m
@@ -143,15 +140,12 @@ class _Trial:
         else:
             self.truth = datagen.gen_sparse_truth(config.n, config.d, rng)
         if config.init == "random":
-            self.state = grouse.init_random(
-                config.n, config.d, rng, reorth_every=config.reorth_cadence
-            )
+            self.state = grouse.init_random(config.n, config.d, rng)
         else:
-            target = config.init_target
-            if target is None:
-                target = 0.5 * config.d * self.truth.mu0 / (16.0 * config.n)
+            # Half the radius d mu0 / (16 n) of the local region.
+            target = 0.5 * config.d * self.truth.mu0 / (16.0 * config.n)
             U0 = datagen.perturb_within_region(self.truth.Ubar, target, rng)
-            self.state = grouse.GrouseState(U=U0, reorth_every=config.reorth_cadence)
+            self.state = grouse.GrouseState(U=U0)
         self.M = self.truth.Ubar.T @ self.state.U
         self._track()
 
@@ -167,6 +161,24 @@ class _Trial:
             self.M += np.outer(change, report.update_coeffs)
         self._track()
         return report
+
+    def diagnose(
+        self, sample: datagen.StreamSample, U: np.ndarray
+    ) -> tuple[np.ndarray | None, float]:
+        """(w_par, Delta) of the coming step, from U, the basis before it.
+
+        w_par is None when the sampled basis is rank deficient; Delta is
+        NaN then and when the overlap Ubar^T U is singular.
+        """
+        try:
+            split = theory.coefficient_split(U, sample.op, sample.v)
+        except grouse.RankDeficient:
+            return None, np.nan
+        try:
+            delta = theory.delta_term(U, self.truth.Ubar, sample.op, sample.v, split)
+        except theory.SingularOverlap:
+            delta = np.nan
+        return split[0], delta
 
     def _track(self) -> None:
         """(sign, log|det M|) and log zeta of the current M, from one slogdet."""
@@ -189,15 +201,9 @@ def run_trial(config: TrialConfig) -> TrialSeries:
     reorth_causes = dict.fromkeys(grouse.REORTH_CAUSES, 0)
     zeta = float(np.exp(trial.log_zeta))
     for t, sample in enumerate(trial.stream(config.op_spec(), config.max_iters)):
-        delta = np.nan
-        bound = np.nan
+        delta = bound = np.nan
         if full_diag:
-            U = trial.state.U
-            try:
-                split = theory.coefficient_split(U, sample.op, sample.v)
-                delta = theory.delta_term(U, trial.truth.Ubar, sample.op, sample.v, split)
-            except (theory.SingularOverlap, grouse.RankDeficient):
-                delta = np.nan
+            _, delta = trial.diagnose(sample, trial.state.U)
         report = trial.step(sample)
         step_counts[report.status] += 1
         if report.reorthonormalized:
@@ -426,6 +432,8 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
     """
     trial = _Trial(config)
     Ubar = trial.truth.Ubar
+    overlap_tol = INVARIANT_TOLERANCES["truth_overlap_of_residual"]
+    perp_rounding = (config.d + 1) * np.sqrt(config.n) * np.finfo(float).eps
     worst = {name: 0.0 for name in INVARIANT_TOLERANCES}
     samples = {name: 0 for name in INVARIANT_TOLERANCES}
 
@@ -440,23 +448,29 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         zeta_before = float(np.exp(trial.log_zeta))
 
         v_par, v_perp = project(U_before, sample.v)
+        norm_v = max(float(np.linalg.norm(sample.v)), 1e-300)
         norm_v_par = float(np.linalg.norm(v_par))
         norm_v_perp = float(np.linalg.norm(v_perp))
 
-        w_par = delta = None
-        try:
-            split = theory.coefficient_split(U_before, sample.op, sample.v)
-            w_par = split[0]
-            delta = theory.delta_term(U_before, Ubar, sample.op, sample.v, split)
-        except (theory.SingularOverlap, grouse.RankDeficient):
-            pass
-
+        w_par, delta = trial.diagnose(sample, U_before)
         report = trial.step(sample)
 
         # Identities independent of the update outcome.
         frob = float(np.sum(1.0 - cosines_before**2))
         note("similarity_vs_frobenius_discrepancy", (1.0 - frob) - zeta_before)
-        if norm_v_perp > 1e-12:
+        # ||Ubar^T v_perp|| <= sin(phi_d) ||v_perp|| is checked only where
+        # rounding cannot reach the tolerance. The computed v_perp =
+        # v - U (U^T v) is off by some e: its part in span(U), from the
+        # n-term inner products in U^T v and the drift of U from
+        # orthonormality, is ||U^T v_perp||; the rest, from forming
+        # U (U^T v) and subtracting, is a few eps ||v||. e moves each side
+        # of the bound by up to ||e||. cos(phi_d) comes from M, itself made
+        # of n-term inner products; its error of a few eps moves
+        # sin(phi_d) ||v_perp|| by at most that times ||v||, as sin(phi_d)
+        # >= ||v_perp|| / ||v||. The unmeasured terms get
+        # (d + 1) sqrt(n) eps ||v||.
+        allowance = 2.0 * np.linalg.norm(U_before.T @ v_perp) + perp_rounding * norm_v
+        if allowance < overlap_tol * norm_v_perp:
             sin_phi_d = float(np.sqrt(max(0.0, 1.0 - cosines_before[-1] ** 2)))
             overlap = float(np.linalg.norm(Ubar.T @ v_perp))
             note(
@@ -466,8 +480,7 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         if w_par is not None:
             note(
                 "projection_matches_truth_component",
-                np.linalg.norm(U_before @ w_par - v_par)
-                / max(np.linalg.norm(sample.v), 1e-300),
+                np.linalg.norm(U_before @ w_par - v_par) / norm_v,
             )
 
         if report.status is not StepStatus.UPDATED:
@@ -497,7 +510,7 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         if config.op_kind == "full" and norm_v_par > 1e-12:
             predicted = theory.exact_full_ratio(norm_v_par, norm_v_perp)
             note("full_data_exact_ratio", abs(zeta_ratio / predicted - 1.0))
-        if config.op_kind != "full" and delta is not None:
+        if config.op_kind != "full" and not np.isnan(delta):
             norm_p, norm_r, norm_rt = report.norm_p, report.norm_r, report.norm_r_tilde
             predicted_det = (norm_p**2 + norm_rt**2 + delta) / (
                 norm_p * np.sqrt(norm_p**2 + norm_r**2)

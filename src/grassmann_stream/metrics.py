@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cosines at or below this are treated as an exact right angle.
-COSINE_FLOOR = 1e-300
-
 
 class DimensionMismatch(ValueError):
     pass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics, numerics, sampling
+from . import numerics, sampling
 from .numerics import RankDeficient
 
 
@@ -134,15 +134,16 @@ def delta_term(
     coefficient leakage of the orthogonal remainder of v and r is the
     lifted residual of the least-squares solution w = w_par + w_perp.
     split is (w_par, w_perp) = coefficient_split(U, op, v), which callers
-    also use on its own. Zero (to rounding) for full sampling.
+    also use on its own. Zero (to rounding) for full sampling. Raises
+    SingularOverlap when Ubar^T U is exactly singular.
     """
-    M = Ubar.T @ U
-    if metrics.overlap_cosines(M)[-1] <= metrics.COSINE_FLOOR:
-        raise SingularOverlap("estimate and truth share no overlap in some direction")
     w_par, w_perp = split
     B = sampling.restrict_basis(op, U)
     r = sampling.adjoint(op, sampling.apply(op, v) - B @ (w_par + w_perp))
-    return float(w_perp @ np.linalg.solve(M, Ubar.T @ r))
+    try:
+        return float(w_perp @ np.linalg.solve(Ubar.T @ U, Ubar.T @ r))
+    except np.linalg.LinAlgError as exc:
+        raise SingularOverlap("estimate and truth share no overlap in some direction") from exc
 
 
 def step_lower_bound_undersampled(

@@ -39,7 +39,7 @@ def _random_instance(n, d, rng, near_truth):
         U = datagen.perturb_within_region(truth.Ubar, target, rng)
     else:
         U = grouse.init_random(n, d, rng).U
-    return truth, grouse.GrouseState(U=U, reorth_every=10**9)
+    return truth, grouse.GrouseState(U=U)
 
 
 def test_criterion_01_full_data_exact_ratio(capsys):
@@ -85,7 +85,7 @@ def test_criterion_02_arbitrary_angle_identity(capsys):
             continue
         t = float(rng.uniform(0.0, np.pi / 2))
         s0, l0 = metrics.log_det_overlap(state.U, truth.Ubar)
-        report = grouse.step_with_angle(state, sampling.make_full(n), v, t)
+        report = grouse.step(state, sampling.make_full(n), v, theta=t)
         if report.status is not StepStatus.UPDATED:
             continue
         s1, l1 = metrics.log_det_overlap(state.U, truth.Ubar)

@@ -142,33 +142,39 @@ def test_sweep_missing_block_exits_2(tmp_path):
 
 
 def test_verify_passes_and_writes_report(tmp_path):
-    cfg = _write_cfg(tmp_path, {**BASE_CFG, "verify": {"num_steps": 60}})
+    # verify reads no diagnostics level; verify.json echoes the one given.
+    payload = {**BASE_CFG, "diagnostics_level": "none", "verify": {"num_steps": 60}}
+    cfg = _write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     rc = cli.main(["verify", "--config", cfg, "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "verify.json").read_text(encoding="utf-8"))
     assert report["passed"] is True
+    assert report["config"]["diagnostics_level"] == "none"
     for res in report["identities"].values():
         assert set(res) >= {"max_violation", "tolerance", "passed", "samples"}
 
 
 def test_verify_fault_injection_exits_1(tmp_path, monkeypatch):
-    # Corrupt the update so the deterministic identities break.
+    # Corrupt the update so the deterministic identities break. V, not U:
+    # with a pending factor K, state.U is a fresh V @ K.
     real_step = grouse.step
 
     def corrupted_step(state, op, x):
         report = real_step(state, op, x)
         if report.status is grouse.StepStatus.UPDATED:
-            state.U[0, 0] += 1e-4
+            state.V[0, 0] += 1e-4
         return report
 
     monkeypatch.setattr(grouse, "step", corrupted_step)
-    cfg = _write_cfg(tmp_path, {**BASE_CFG, "verify": {"num_steps": 40}})
-    out = tmp_path / "out"
-    rc = cli.main(["verify", "--config", cfg, "--out", str(out)])
-    assert rc == 1
-    report = json.loads((out / "verify.json").read_text(encoding="utf-8"))
-    assert report["passed"] is False
+    for kind, m in (("full", None), ("gaussian", 20), ("entrywise", 20)):
+        payload = {**BASE_CFG, "op_kind": kind, "m": m, "verify": {"num_steps": 40}}
+        cfg = _write_cfg(tmp_path, payload)
+        out = tmp_path / kind
+        rc = cli.main(["verify", "--config", cfg, "--out", str(out)])
+        assert rc == 1, kind
+        report = json.loads((out / "verify.json").read_text(encoding="utf-8"))
+        assert report["passed"] is False, kind
 
 
 def test_bounds_outputs(tmp_path, capsys):

@@ -29,7 +29,7 @@ def test_truth_validation():
     with pytest.raises(ValueError):
         datagen.gen_dense_truth(5, 5, rng)
     with pytest.raises(ValueError):
-        datagen.gen_sparse_truth(10, 3, rng, density=0.0)
+        datagen.gen_sparse_truth(5, 5, rng)
 
 
 def test_stream_vectors_lie_in_truth():

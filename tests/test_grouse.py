@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,21 +99,21 @@ def test_norm_p_equals_norm_w():
     assert report.theta == pytest.approx(np.arctan2(report.norm_r, report.norm_p))
 
 
-def test_step_with_angle_validates_range():
+def test_step_theta_validates_range():
     rng = np.random.default_rng(5)
     state = grouse.init_random(10, 2, rng)
     with pytest.raises(ValueError):
-        grouse.step_with_angle(state, sampling.make_full(10), np.ones(10), -0.1)
+        grouse.step(state, sampling.make_full(10), np.ones(10), theta=-0.1)
     with pytest.raises(ValueError):
-        grouse.step_with_angle(state, sampling.make_full(10), np.ones(10), 2.0)
+        grouse.step(state, sampling.make_full(10), np.ones(10), theta=2.0)
 
 
-def test_step_with_angle_zero_is_identity_on_span():
+def test_step_theta_zero_is_identity_on_span():
     rng = np.random.default_rng(6)
     state = grouse.init_random(15, 3, rng)
     U_before = state.U.copy()
     x = rng.standard_normal(15)
-    report = grouse.step_with_angle(state, sampling.make_full(15), x, 0.0)
+    report = grouse.step(state, sampling.make_full(15), x, theta=0.0)
     assert report.status is StepStatus.UPDATED
     # theta = 0 leaves the span unchanged.
     assert metrics.principal_angles(state.U, U_before).zeta == pytest.approx(
@@ -129,7 +132,7 @@ def test_arbitrary_angle_ratio_identity_small():
         v_par, v_perp = numerics.project(state.U, v)
         t = rng.uniform(0.0, np.pi / 2)
         before = metrics.principal_angles(state.U, Ubar).log_zeta
-        report = grouse.step_with_angle(state, sampling.make_full(n), v, t)
+        report = grouse.step(state, sampling.make_full(n), v, theta=t)
         assert report.status is StepStatus.UPDATED
         after = metrics.principal_angles(state.U, Ubar).log_zeta
         predicted = (
@@ -138,9 +141,10 @@ def test_arbitrary_angle_ratio_identity_small():
         assert np.exp(after - before) == pytest.approx(predicted, rel=1e-9)
 
 
-def test_reorthonormalization_cadence_and_drift():
+def test_reorthonormalization_cadence_and_drift(monkeypatch):
+    monkeypatch.setattr(grouse, "REORTH_EVERY", 10)
     rng = np.random.default_rng(8)
-    state = grouse.init_random(30, 4, rng, reorth_every=10)
+    state = grouse.init_random(30, 4, rng)
     truth = datagen.gen_dense_truth(30, 4, rng)
     reorth_steps = []
     for t, sample in enumerate(
@@ -250,14 +254,14 @@ def test_right_angle_entrywise_step_takes_the_dense_update():
     # cos(pi/2) ~ 6e-17 would make K singular; the step folds K and takes
     # the dense update instead.
     rng = np.random.default_rng(14)
-    state = grouse.init_random(200, 6, rng, reorth_every=10**9)
+    state = grouse.init_random(200, 6, rng)
     truth = datagen.gen_dense_truth(200, 6, rng)
     samples = list(datagen.gen_stream(truth, datagen.OpSpec("entrywise", 30), 6, rng))
     for sample in samples[:5]:
         grouse.step(state, sample.op, sample.x)
     assert state.K is not None
     U_ref = _reference_step(state.U, samples[5].op, samples[5].x, theta=np.pi / 2)
-    report = grouse.step_with_angle(state, samples[5].op, samples[5].x, np.pi / 2)
+    report = grouse.step(state, samples[5].op, samples[5].x, theta=np.pi / 2)
     assert report.status is StepStatus.UPDATED
     assert np.all(np.isfinite(state.U))
     assert numerics.orthonormality_drift(state.U) < 1e-9
@@ -267,7 +271,7 @@ def test_right_angle_entrywise_step_takes_the_dense_update():
 def test_entrywise_full_entrywise_matches_dense_reference():
     # A dense operator arriving on a factored state folds K into V first.
     rng = np.random.default_rng(15)
-    state = grouse.init_random(200, 6, rng, reorth_every=10**9)
+    state = grouse.init_random(200, 6, rng)
     truth = datagen.gen_dense_truth(200, 6, rng)
     samples = []
     for spec, count in (("entrywise", 30), ("full", 5), ("entrywise", 30)):
@@ -277,3 +281,14 @@ def test_entrywise_full_entrywise_matches_dense_reference():
         lambda sample: grouse.step(state, sample.op, sample.x), state.U.copy(), samples
     )
     assert max(float(np.abs(state.U - U_ref).max()) for _, U_ref in steps) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "name", ["COND_LIMIT", "DRIFT_LIMIT", "DRIFT_CHECK_EVERY", "REORTH_EVERY"]
+)
+def test_readme_states_the_step_constants(name):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    stated = re.findall(rf"`{name}` = ([0-9.e+-]+)", readme)
+    assert stated and all(float(value) == getattr(grouse, name) for value in stated)

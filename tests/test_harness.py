@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from grassmann_stream import grouse, harness, numerics, sampling, theory
+from grassmann_stream import grouse, harness, metrics, numerics, sampling, theory
 
 
 def test_config_validation():
@@ -228,9 +228,9 @@ FROZEN_VERIFY = {
         **_ALL_SAMPLED,
         "schur_determinant_identity": (0, True),
         "undersampled_lower_bound": (0, True),
-        # Fails once the stream has converged: ||v_perp|| sinks to rounding
-        # level, yet stays above the verifier's absolute 1e-12 cutoff.
-        "truth_overlap_of_residual": (100, False),
+        # Checked only while ||v_perp|| is above its rounding allowance:
+        # the stream converges, and the last 30 steps fall below it.
+        "truth_overlap_of_residual": (70, True),
     },
     "gaussian": {**_ALL_SAMPLED, "full_data_exact_ratio": (0, True)},
     "entrywise": {**_ALL_SAMPLED, "full_data_exact_ratio": (0, True)},
@@ -249,6 +249,46 @@ def test_verify_step_invariants_is_frozen(kind):
         for name, result in report["identities"].items()
     }
     assert observed == FROZEN_VERIFY[kind]
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        dict(n=60, d=4, op_kind="full", seed=0),
+        dict(n=2000, d=5, op_kind="full", seed=2),
+        dict(n=200, d=3, op_kind="entrywise", m=100, init="perturbed", seed=0),
+        # d = 1 makes the bound tight; U drifts ~30 eps off orthonormal.
+        dict(n=60, d=1, op_kind="entrywise", m=30, seed=8),
+    ],
+    ids=["full-60", "full-2000", "entrywise", "entrywise-d1"],
+)
+def test_verify_passes_on_a_converged_stream(base):
+    # Past convergence ||v_perp|| is rounding-sized against ||v||; its
+    # rounding error must not read as an excess truth overlap.
+    report = harness.verify_step_invariants(harness.TrialConfig(**base), 300)
+    assert report["passed"], report["identities"]
+
+
+def test_verify_flags_a_real_truth_overlap_excess(monkeypatch):
+    # With d = 1 the overlap bound is an equality. Reporting sin(phi_d)
+    # 1e-8 too small, 10x the tolerance, must be flagged on a stream whose
+    # ||v_perp|| stays far above the rounding allowance.
+    real = metrics.overlap_cosines
+
+    def shifted(M):
+        cosines = real(M)
+        sin_d = np.sqrt(1.0 - cosines[-1] ** 2)
+        cosines[-1] = np.sqrt(1.0 - max(sin_d - 1e-8, 0.0) ** 2)
+        return cosines
+
+    monkeypatch.setattr(metrics, "overlap_cosines", shifted)
+    config = harness.TrialConfig(n=60, d=1, op_kind="gaussian", m=20, seed=23)
+    result = harness.verify_step_invariants(config, 50)["identities"][
+        "truth_overlap_of_residual"
+    ]
+    assert result["samples"] == 50
+    assert not result["passed"]
+    assert result["max_violation"] == pytest.approx(1e-8, rel=1e-3)
 
 
 def test_harness_steps_through_grouse_step(monkeypatch):
@@ -318,6 +358,30 @@ def test_entrywise_step_takes_no_svd(monkeypatch):
     assert len(calls) <= series.reorthonormalizations
 
 
+@pytest.mark.parametrize("kind", ["full", "gaussian", "entrywise"])
+def test_verify_takes_one_svd_per_step(monkeypatch, kind):
+    # The cosines of M are the one SVD a verified step needs; delta_term
+    # finds a singular M from its solve. Rank certificates that fail fall
+    # back to an SVD of R, counted apart.
+    calls = _count_svd_calls(monkeypatch)
+    fallbacks = []
+    check_full_rank = numerics._check_full_rank
+
+    def counting_check(*args, **kwargs):
+        before = len(calls)
+        try:
+            return check_full_rank(*args, **kwargs)
+        finally:
+            fallbacks.append(len(calls) - before)
+
+    monkeypatch.setattr(numerics, "_check_full_rank", counting_check)
+    config = harness.TrialConfig(
+        n=60, d=4, op_kind=kind, m=None if kind == "full" else 20, seed=23
+    )
+    harness.verify_step_invariants(config, 100)
+    assert len(calls) - sum(fallbacks) <= 100
+
+
 def test_monte_carlo_ratio_takes_no_svd_per_step(monkeypatch):
     # Angles (an SVD) are needed only for a theory_step_fn's phi_d.
     calls = _count_svd_calls(monkeypatch)
@@ -339,6 +403,40 @@ def test_diagnostics_levels():
     # Full-data delta is zero to rounding on every updated step.
     updated = full.records["status"] == 0
     assert np.all(np.abs(full.records["delta"][updated]) < 1e-10)
+
+
+# delta and det_lower_bound of the first six steps at n=60, d=4, m=20,
+# seed 23 from a random start, recorded when theory.delta_term tested M
+# for singularity by its SVD.
+FROZEN_DELTA = {
+    "gaussian": (
+        [6.488175981339197, -2.640873728218652, -0.07545600772291533,
+         -0.5977906259574522, 0.5294820379652814, -0.7156532439170286],
+        [28.230814709563056, -0.2660550581140497, 1.2623992256881758,
+         0.14531205901723543, 2.645805129113403, -1.8086159271015554],
+    ),
+    "entrywise": (
+        [-2.049624781021807, -5.679043501432117, -0.09369918141809808,
+         -5.510697899534577, 1.93948498447726, 1.3641136728960088],
+        [-8.410134494701488, -11.05141165277124, 1.164980919408209,
+         -3.893298522903374, 6.714963985301102, 3.582942396236283],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_DELTA))
+def test_delta_columns_are_frozen(kind):
+    series = harness.run_trial(
+        harness.TrialConfig(
+            n=60, d=4, op_kind=kind, m=20, zeta_star=1 - 1e-12, max_iters=6,
+            seed=23, diagnostics_level="full",
+        )
+    )
+    delta, bound = FROZEN_DELTA[kind]
+    np.testing.assert_allclose(series.records["delta"], delta, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        series.records["det_lower_bound"], bound, rtol=1e-12, atol=0.0
+    )
 
 
 @pytest.mark.parametrize(
