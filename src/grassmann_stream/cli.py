@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import numbers
-import os
 import sys
 from pathlib import Path
 
@@ -81,16 +80,27 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _trial_config(cfg: dict, seed_override: int | None) -> harness.TrialConfig:
-    fields = {f.name for f in dataclasses.fields(harness.TrialConfig)}
-    unknown = set(cfg) - fields - {"sweep", "verify", "bounds", "monte_carlo"}
+_TRIAL_FIELDS = {f.name for f in dataclasses.fields(harness.TrialConfig)}
+# Block name -> the keys its command reads.
+_BLOCK_KEYS = {
+    "sweep": {"ns", "ds", "ms", "trials_per_cell", "cap_multiple"},
+    "monte_carlo": {"num_steps", "num_trials"},
+    "verify": {"num_steps"},
+    "bounds": {"n", "d", "m", "rho", "zeta_star", "zeta", "delta", "phi_d", "mu0",
+               "mu_vperp", "kappa"},
+}
+
+
+def _reject_unknown(keys, known, where: str) -> None:
+    unknown = set(keys) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in cfg.items() if k in fields}
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _trial_config(cfg: dict, seed_override: int | None) -> harness.TrialConfig:
+    kwargs = {k: v for k, v in cfg.items() if k in _TRIAL_FIELDS}
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    elif "seed" not in kwargs and os.environ.get("GS_SEED"):
-        kwargs["seed"] = int(os.environ["GS_SEED"])
     return harness.TrialConfig(**kwargs)
 
 
@@ -109,26 +119,18 @@ def _block(cfg: dict, name: str, required: bool = False) -> dict:
     block = cfg.get(name, None if required else {})
     if not isinstance(block, dict):
         raise ConfigError(f"the config needs {name!r} to be an object")
+    _reject_unknown(block, _BLOCK_KEYS[name], repr(name))
     return block
 
 
 def _cmd_run(config: harness.TrialConfig, args) -> int:
     series = harness.run_trial(config)
     out = Path(args.out)
-    rows = []
-    if series.records:
-        n_rows = len(series.records["t"])
-        status_col = [
-            harness.STATUS_NAMES[int(c)] for c in series.records["status"]
-        ]
-        for i in range(n_rows):
-            rows.append(
-                [
-                    series.records["t"][i],
-                    *(series.records[c][i] for c in harness.SERIES_COLUMNS[1:-1]),
-                    status_col[i],
-                ]
-            )
+    records = series.records  # empty at diagnostics level "none"
+    rows = [
+        [*(records[c][i] for c in harness.SERIES_COLUMNS[:-1]), harness.STATUS_NAMES[int(code)]]
+        for i, code in enumerate(records.get("status", ()))
+    ]
     _write_csv(out / "series.csv", harness.SERIES_COLUMNS, rows)
     summary = {
         "config": dataclasses.asdict(config),
@@ -162,31 +164,20 @@ def _parse_sweep(cfg: dict, seed: int | None):
     grid = [(n, d, m) for n in ns for d in ds for m in ms]
     if not grid or trials < 1:
         raise ConfigError("sweep grid must be non-empty with trials_per_cell >= 1")
-    bound_kind = sweep_cfg.get("bound", "heuristic")
-    if bound_kind == "heuristic":
-        def bound_fn(n, d, m):
-            return theory.heuristic_iterations(n, n if m is None else m, d, base.zeta_star)
-    elif bound_kind == "full_iteration":
-        rho = float(sweep_cfg.get("rho", 0.1))
-        def bound_fn(n, d, m):
-            return theory.iteration_bound_full(n, d, rho, base.zeta_star).value
-    else:
-        raise ConfigError(f"unknown sweep bound {bound_kind!r}")
     cap_multiple = sweep_cfg.get("cap_multiple")
     if cap_multiple is not None:
         cap_multiple = float(cap_multiple)
         if not cap_multiple > 0.0:
             raise ConfigError("cap_multiple must be positive")
     for n, d, m in grid:
-        # Builds and bounds each cell once, so a bad cell fails before any runs.
+        # Builds each cell once, so a bad cell fails before any runs.
         dataclasses.replace(base, n=n, d=d, m=m)
-        bound_fn(n, d, m)
-    return base, sweep_cfg, grid, trials, bound_fn, cap_multiple
+    return base, sweep_cfg, grid, trials, cap_multiple
 
 
 def _cmd_sweep(plan, args) -> int:
-    base, sweep_cfg, grid, trials, bound_fn, cap_multiple = plan
-    cells = harness.sweep(base, grid, trials, bound_fn, cap_multiple=cap_multiple)
+    base, sweep_cfg, grid, trials, cap_multiple = plan
+    cells = harness.sweep(base, grid, trials, cap_multiple=cap_multiple)
     out = Path(args.out)
     header = ("n", "d", "m", "mean_ratio", "var_ratio", "fail_frac")
     rows = [
@@ -341,6 +332,7 @@ def parse_config(command: str, cfg: dict, seed: int | None = None):
     ValueError raised while parsing is re-raised as ConfigError (exit 2).
     """
     try:
+        _reject_unknown(cfg, _TRIAL_FIELDS | set(_BLOCK_KEYS), "config")
         return _COMMANDS[command][0](cfg, seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

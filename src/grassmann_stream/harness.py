@@ -107,11 +107,11 @@ class TrialSeries:
 class ImprovementHistogram:
     """Binned per-step similarity ratios with theory overlays.
 
-    Bins partition [0, 1) uniformly by the pre-step similarity. For each
+    Bins split [0, 1] at bin_edges by the pre-step similarity. For each
     bin: sample count, empirical mean ratio, its standard error, the mean
     pre-step similarity of contributing samples, the theory factor at the
-    bin center, and (when a per-step theory function was supplied) the
-    mean of per-step theory values.
+    bin center, and the mean of per-step theory values (NaN without a
+    per-step theory function).
     """
 
     bin_edges: np.ndarray
@@ -126,11 +126,12 @@ class ImprovementHistogram:
 class _Trial:
     """One seeded stream: its truth, its GROUSE state and M = Ubar^T U.
 
-    step() runs grouse.step, advances M across the rank-one update or a
-    reorthonormalization, and refreshes log_zeta with the sign and
-    log|det M| it comes from. Diagnostics that query a lazy Gaussian
-    operator must do so between drawing a sample and step(), so the step
-    sees the entries it would have seen without them.
+    step() runs grouse.step, advances M across the rank-one update and
+    keeps its (sign, log|det M|) as update_det; a reorthonormalization,
+    which may rotate the columns of U, then re-forms M. sign, logdet and
+    log_zeta are those of the current M. Diagnostics that query a lazy
+    Gaussian operator must do so between drawing a sample and step(), so
+    the step sees the entries it would have seen without them.
     """
 
     def __init__(self, config: TrialConfig, index: int = 0):
@@ -154,12 +155,14 @@ class _Trial:
 
     def step(self, sample: datagen.StreamSample) -> grouse.StepReport:
         report = grouse.step(self.state, sample.op, sample.x)
-        if report.reorthonormalized:
-            self.M = self.truth.Ubar.T @ self.state.U
-        elif report.update_coeffs is not None:
+        if report.update_coeffs is not None:
             change = report.overlap_change(self.truth.Ubar, self.M)
             self.M += np.outer(change, report.update_coeffs)
         self._track()
+        self.update_det = (self.sign, self.logdet)
+        if report.reorthonormalized:
+            self.M = self.truth.Ubar.T @ self.state.U
+            self._track()
         return report
 
     def diagnose(
@@ -276,29 +279,29 @@ def monte_carlo_ratio(
     config: TrialConfig,
     num_steps: int,
     num_trials: int,
-    bins: int = 20,
+    edges: np.ndarray = np.linspace(0.0, 1.0, 21),
     theory_step_fn=None,
     warmup_targets=None,
 ) -> ImprovementHistogram:
     """Empirical per-step improvement, binned by pre-step similarity.
 
     Runs num_trials independent streams of num_steps updates each;
-    skipped steps contribute nothing. default_theory_fn(config) is
-    evaluated at bin centers; theory_step_fn(zeta, phi_d), when given, is
-    evaluated at every recorded step and averaged per bin.
+    skipped steps contribute nothing. Each updated step records its
+    pre-step similarity zeta, its ratio and, when theory_step_fn is given,
+    theory_step_fn(zeta, phi_d). The records are binned once, at the end:
+    bin b holds edges[b] <= zeta < edges[b + 1] for increasing edges (20
+    uniform bins by default), and the last bin also holds zeta = 1.
+    default_theory_fn(config) is evaluated at bin centers.
 
     warmup_targets, when given, is cycled across trials: before the
     measured steps, each trial is advanced with at most 20,000 fully
     sampled updates until its similarity reaches the target, so the histogram
     covers similarity levels a short undersampled run could not reach.
     """
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    counts = np.zeros(bins, dtype=np.int64)
-    mean = np.zeros(bins)
-    m2 = np.zeros(bins)
-    zeta_sum = np.zeros(bins)
-    theory_sum = np.zeros(bins)
-
+    edges = np.array(edges, dtype=np.float64)
+    # Rows zeta, ratio and per-step theory value: 24 bytes per updated step.
+    samples = np.empty((3, num_trials * num_steps))
+    recorded = 0
     for index in range(num_trials):
         trial = _Trial(config, index)
         if warmup_targets is not None:
@@ -308,42 +311,49 @@ def monte_carlo_ratio(
                     break
                 trial.step(sample)
         for sample in trial.stream(config.op_spec(), num_steps):
+            theory_value = np.nan
             if theory_step_fn is not None:
                 cosines = metrics.overlap_cosines(trial.M)
             log_zeta = trial.log_zeta
             report = trial.step(sample)
             if report.status is StepStatus.UPDATED and np.isfinite(log_zeta):
                 zeta = float(np.exp(log_zeta))
-                ratio = float(np.exp(trial.log_zeta - log_zeta))
-                b = min(int(zeta * bins), bins - 1)
-                counts[b] += 1
-                delta_mean = ratio - mean[b]
-                mean[b] += delta_mean / counts[b]
-                m2[b] += delta_mean * (ratio - mean[b])
-                zeta_sum[b] += zeta
                 if theory_step_fn is not None:
-                    phi_d = float(np.arccos(cosines[-1]))
-                    theory_sum[b] += theory_step_fn(zeta, phi_d)
+                    theory_value = theory_step_fn(zeta, float(np.arccos(cosines[-1])))
+                samples[:, recorded] = zeta, np.exp(trial.log_zeta - log_zeta), theory_value
+                recorded += 1
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        variance = np.where(counts > 1, m2 / np.maximum(counts - 1, 1), np.nan)
-        std_err = np.sqrt(variance / np.maximum(counts, 1))
-        mean_zeta = np.where(counts > 0, zeta_sum / np.maximum(counts, 1), np.nan)
-        theory_step_mean = np.where(
-            counts > 0, theory_sum / np.maximum(counts, 1), np.nan
-        )
-    centers = 0.5 * (edges[:-1] + edges[1:])
     theory_fn = default_theory_fn(config)
-    theory_vals = np.array([theory_fn(c) for c in centers])
     return ImprovementHistogram(
         bin_edges=edges,
-        counts=counts,
-        mean_ratio=np.where(counts > 0, mean, np.nan),
-        std_err=std_err,
-        mean_zeta=mean_zeta,
-        theory=theory_vals,
-        theory_step_mean=theory_step_mean,
+        theory=np.array([theory_fn(c) for c in 0.5 * (edges[:-1] + edges[1:])]),
+        **_bin_samples(edges, *samples[:, :recorded]),
     )
+
+
+def _bin_samples(edges, zeta, ratio, theory_step) -> dict:
+    """The per-bin statistics of ImprovementHistogram from all records at once.
+
+    A zeta outside the edges falls in the nearest end bin. Empty bins read
+    NaN, and so does the standard error of a one-sample bin.
+    """
+    num_bins = len(edges) - 1
+    index = np.clip(np.searchsorted(edges, zeta, side="right") - 1, 0, num_bins - 1)
+    counts = np.bincount(index, minlength=num_bins)
+
+    def bin_mean(values):
+        return np.bincount(index, values, minlength=num_bins) / counts
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_ratio = bin_mean(ratio)
+        m2 = np.bincount(index, (ratio - mean_ratio[index]) ** 2, minlength=num_bins)
+        return dict(
+            counts=counts,
+            mean_ratio=mean_ratio,
+            std_err=np.sqrt(m2 / (counts - 1) / counts),
+            mean_zeta=bin_mean(zeta),
+            theory_step_mean=bin_mean(theory_step),
+        )
 
 
 @dataclass
@@ -364,27 +374,28 @@ def sweep(
     base: TrialConfig,
     grid: list[tuple[int, int, int | None]],
     trials_per_cell: int,
-    bound_fn,
     cap_multiple: float | None = None,
 ) -> list[SweepCell]:
-    """Ratio of actual iterations to bound_fn(n, d, m) over a (n, d, m) grid.
+    """Ratio of actual iterations to the heuristic count over a (n, d, m) grid.
 
-    Trials that hit the iteration cap count toward fail_frac and are
-    excluded from the ratio statistics. With cap_multiple, each cell's
-    cap is int(cap_multiple * bound_fn(n, d, max(m, d + 1))) + 1 instead
-    of base.max_iters: rank-deficient cells (m <= d) would otherwise burn
-    the whole budget on skipped steps.
+    The heuristic is theory.heuristic_iterations(n, m, d, base.zeta_star),
+    with m = n for full sampling. Trials that hit the iteration cap count
+    toward fail_frac and are excluded from the ratio statistics. With
+    cap_multiple, each cell's cap is int(cap_multiple * the heuristic at
+    max(m, d + 1)) + 1 instead of base.max_iters: rank-deficient cells
+    (m <= d) would otherwise burn the whole budget on skipped steps.
     """
     cells = []
     for n, d, m in grid:
         start = time.perf_counter()
-        bound = bound_fn(n, d, m)
         cell = dataclasses.replace(base, n=n, d=d, m=m, diagnostics_level="none")
+        sampled = n if cell.op_kind == "full" else m
+        bound = theory.heuristic_iterations(n, sampled, d, base.zeta_star)
         if cap_multiple is not None:
-            cap_m = None if m is None else max(m, d + 1)
-            cell = dataclasses.replace(
-                cell, max_iters=int(cap_multiple * bound_fn(n, d, cap_m)) + 1
+            cap = cap_multiple * theory.heuristic_iterations(
+                n, max(sampled, d + 1), d, base.zeta_star
             )
+            cell = dataclasses.replace(cell, max_iters=int(cap) + 1)
         ratios = []
         step_counts = {status.value: 0 for status in StepStatus}
         for trial in range(trials_per_cell):
@@ -493,17 +504,9 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
             np.linalg.norm(B.T @ r_tilde) / max(np.linalg.norm(sample.x), 1e-300),
         )
 
-        if report.reorthonormalized:
-            # Reorthonormalization may rotate columns; the determinant
-            # identities below compare raw determinants, so recompute the
-            # post-step overlap from the pre-reorth update instead.
-            M_before = Ubar.T @ U_before
-            M_after = M_before + np.outer(
-                report.overlap_change(Ubar, M_before), report.update_coeffs
-            )
-            sign_after, logdet_after = np.linalg.slogdet(M_after)
-        else:
-            sign_after, logdet_after = trial.sign, trial.logdet
+        # The determinant across the rank-one update alone, before any
+        # reorthonormalization rotates the columns of U.
+        sign_after, logdet_after = trial.update_det
         det_ratio = float(sign_before * sign_after * np.exp(logdet_after - logdet_before))
         zeta_ratio = det_ratio**2
 

@@ -151,12 +151,15 @@ def test_criterion_04_expected_improvement_full(capsys):
 def test_criterion_05_expected_improvement_missing(capsys, m):
     # n=5000, d=10, entry-wise sampling, initialized inside the local
     # region: binned mean ratio >= 1 + (1/4)(m/n)(1-zeta)/d - 3 SE
-    # over 50 trials.
+    # over 50 trials, in at least two bins. Perturbed starts sit at
+    # zeta > 0.999, so the bins split kappa = 1 - zeta at quarter decades,
+    # 10^(-k/4) for k = 1..24.
     config = harness.TrialConfig(
         n=5000, d=10, op_kind="entrywise", m=m, init="perturbed",
         zeta_star=1 - 1e-15, max_iters=10**6, seed=105,
     )
-    hist = harness.monte_carlo_ratio(config, num_steps=300, num_trials=50)
+    edges = np.concatenate(([0.0], 1.0 - 10.0 ** (-np.arange(1, 25) / 4.0), [1.0]))
+    hist = harness.monte_carlo_ratio(config, num_steps=300, num_trials=50, edges=edges)
     worst_margin = np.inf
     checked = 0
     for b in np.flatnonzero(hist.counts >= 10):
@@ -166,9 +169,9 @@ def test_criterion_05_expected_improvement_missing(capsys, m):
         margin = hist.mean_ratio[b] - (floor - 3.0 * hist.std_err[b])
         worst_margin = min(worst_margin, margin)
         checked += 1
-    ok = checked > 0 and worst_margin >= 0.0
+    ok = checked >= 2 and worst_margin >= 0.0
     _report(capsys, f"5 expected improvement, missing m={m}", ok,
-            f"{checked} bins, worst margin {worst_margin:.3e} >= 0")
+            f"{checked} log-kappa bins, worst margin {worst_margin:.3e} >= 0")
 
 
 def _best_probability_delta(d, m, n):

@@ -87,20 +87,9 @@ def test_seed_override_changes_output(tmp_path):
     cli.main(["run", "--config", cfg, "--out", str(out1), "--seed", "7"])
     cli.main(["run", "--config", cfg, "--out", str(out2), "--seed", "8"])
     assert (out1 / "series.csv").read_bytes() != (out2 / "series.csv").read_bytes()
-
-
-def test_gs_seed_env_fallback(tmp_path, monkeypatch):
-    cfg_payload = {k: v for k, v in BASE_CFG.items() if k != "seed"}
-    cfg = _write_cfg(tmp_path, cfg_payload)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("GS_SEED", "99")
-    assert cli.main(["run", "--config", cfg, "--out", str(out1)]) == 0
+    # --seed wins over the config's "seed".
     summary = json.loads((out1 / "summary.json").read_text(encoding="utf-8"))
-    assert summary["config"]["seed"] == 99
-    # Explicit --seed wins over the environment.
-    assert cli.main(["run", "--config", cfg, "--out", str(out2), "--seed", "5"]) == 0
-    summary2 = json.loads((out2 / "summary.json").read_text(encoding="utf-8"))
-    assert summary2["config"]["seed"] == 5
+    assert BASE_CFG["seed"] != 7 and summary["config"]["seed"] == 7
 
 
 def test_run_json_format_stdout(tmp_path, capsys):
@@ -238,43 +227,46 @@ def test_float_formatting_17_digits(tmp_path):
     assert format(float(zeta_str), ".17g") == zeta_str
 
 
-NO_SEED_CFG = {k: v for k, v in BASE_CFG.items() if k != "seed"}
 SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
 
 
 @pytest.mark.parametrize(
-    "command, payload, gs_seed",
+    "command, payload",
     [
-        ("bounds", {**BASE_CFG, "bounds": [1, 2]}, None),
-        ("run", {**BASE_CFG, "d": 40}, None),
-        ("run", {**BASE_CFG, "op_kind": "entrywise", "m": 41}, None),
-        ("run", {**BASE_CFG, "n": "50"}, None),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": "x"}}, None),
-        ("run", NO_SEED_CFG, "abc"),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "ds": [40]}}, None),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multiple": -1}}, None),
-        ("verify", {**BASE_CFG, "verify": {"num_steps": "x"}}, None),
-        ("histogram", BASE_CFG, None),
-        ("bounds", {"n": 50.7, "d": 5}, None),
-        ("bounds", {"n": 50, "d": 5, "bounds": {"m": 20.5}}, None),
-        ("histogram", {**BASE_CFG, "monte_carlo": {"num_steps": 40.5}}, None),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": 2.5}}, None),
-        ("verify", {**BASE_CFG, "verify": {"num_steps": 60.5}}, None),
-        ("bounds", {"n": 5000, "d": 10, "bounds": {"delta": 0.5}}, None),
-        ("bounds", {"n": 5000, "d": 10, "bounds": {"delta": 0.6}}, None),
+        ("bounds", {**BASE_CFG, "bounds": [1, 2]}),
+        ("run", {**BASE_CFG, "d": 40}),
+        ("run", {**BASE_CFG, "op_kind": "entrywise", "m": 41}),
+        ("run", {**BASE_CFG, "n": "50"}),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": "x"}}),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "ds": [40]}}),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multiple": -1}}),
+        ("verify", {**BASE_CFG, "verify": {"num_steps": "x"}}),
+        ("histogram", BASE_CFG),
+        ("bounds", {"n": 50.7, "d": 5}),
+        ("bounds", {"n": 50, "d": 5, "bounds": {"m": 20.5}}),
+        ("histogram", {**BASE_CFG, "monte_carlo": {"num_steps": 40.5}}),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": 2.5}}),
+        ("verify", {**BASE_CFG, "verify": {"num_steps": 60.5}}),
+        ("bounds", {"n": 5000, "d": 10, "bounds": {"delta": 0.5}}),
+        ("bounds", {"n": 5000, "d": 10, "bounds": {"delta": 0.6}}),
+        ("histogram", {**BASE_CFG, "monte_carlo": {"num_step": 5, "num_trials": 1}}),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multipel": 2.0}}),
+        ("verify", {**BASE_CFG, "verify": {"num_step": 5}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"deltta": 0.3}}),
+        ("bounds", {"n": 100, "d": 5, "deltta": 0.3}),
     ],
     ids=[
         "bounds_not_object", "d_not_below_n", "entrywise_m_above_n", "n_string",
-        "trials_per_cell_string", "gs_seed_not_int", "sweep_cell_d_not_below_n",
+        "trials_per_cell_string", "sweep_cell_d_not_below_n",
         "cap_multiple_negative", "verify_num_steps_string", "histogram_missing_block",
         "bounds_n_not_integer", "bounds_m_not_integer", "histogram_num_steps_not_integer",
         "trials_per_cell_not_integer", "verify_num_steps_not_integer",
         "bounds_cs_divisor_zero", "bounds_cs_divisor_negative",
+        "monte_carlo_unknown_key", "sweep_unknown_key", "verify_unknown_key",
+        "bounds_unknown_key", "bounds_unknown_top_level_key",
     ],
 )
-def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, command, payload, gs_seed):
-    if gs_seed is not None:
-        monkeypatch.setenv("GS_SEED", gs_seed)
+def test_config_errors_exit_2(tmp_path, capsys, command, payload):
     cfg = _write_cfg(tmp_path, payload)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

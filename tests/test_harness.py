@@ -501,6 +501,53 @@ def test_monte_carlo_counts_consistency():
             assert 0.0 <= hist.mean_zeta[b] <= 1.0
         else:
             assert np.isnan(hist.mean_ratio[b])
+    # No per-step theory function: no per-step theory mean.
+    assert np.isnan(hist.theory_step_mean).all()
+
+
+def test_bin_samples_match_direct_masks():
+    # Non-uniform edges. zeta on an edge belongs to the bin above it, and
+    # zeta = 1 to the last bin. Bin 0 is empty and bin 3 holds one sample.
+    edges = np.array([0.0, 0.5, 0.9, 0.99, 0.999, 1.0])
+    rng = np.random.default_rng(0)
+    zeta = np.concatenate((rng.uniform(0.5, 0.99, 60), [0.5, 0.9, 0.9, 0.99, 0.999, 1.0, 1.0]))
+    ratio = 1.0 + rng.random(zeta.size)
+    theory_step = rng.random(zeta.size)
+    stats = harness._bin_samples(edges, zeta, ratio, theory_step)
+    counts, mean_ratio, std_err, mean_zeta, theory_mean = (
+        stats[k] for k in ("counts", "mean_ratio", "std_err", "mean_zeta", "theory_step_mean")
+    )
+    for b in range(len(edges) - 1):
+        upper = zeta <= edges[b + 1] if b == len(edges) - 2 else zeta < edges[b + 1]
+        mask = (edges[b] <= zeta) & upper
+        assert counts[b] == mask.sum()
+        if not mask.any():
+            for stat in (mean_ratio, std_err, mean_zeta, theory_mean):
+                assert np.isnan(stat[b])
+            continue
+        assert mean_ratio[b] == pytest.approx(ratio[mask].mean(), rel=1e-12)
+        assert mean_zeta[b] == pytest.approx(zeta[mask].mean(), rel=1e-12)
+        assert theory_mean[b] == pytest.approx(theory_step[mask].mean(), rel=1e-12)
+        if mask.sum() == 1:
+            assert np.isnan(std_err[b])
+        else:
+            expected = ratio[mask].std(ddof=1) / np.sqrt(mask.sum())
+            assert std_err[b] == pytest.approx(expected, rel=1e-12)
+    assert counts.tolist() == [0, counts[1], counts[2], 1, 3]
+    assert counts.sum() == zeta.size
+
+
+def test_monte_carlo_ratio_bins_at_the_edges_given():
+    # Two bins split at 0.5, itself an edge of the 20 default bins, regroup
+    # the default counts of the same seeded run.
+    config = harness.TrialConfig(n=40, d=4, op_kind="entrywise", m=20, seed=8)
+    default = harness.monte_carlo_ratio(config, num_steps=60, num_trials=3)
+    halves = harness.monte_carlo_ratio(
+        config, num_steps=60, num_trials=3, edges=[0.0, 0.5, 1.0]
+    )
+    assert halves.bin_edges.tolist() == [0.0, 0.5, 1.0]
+    assert halves.counts.tolist() == [default.counts[:10].sum(), default.counts[10:].sum()]
+    assert halves.theory.shape == (2,)
 
 
 def test_missing_with_m_equals_n_close_to_full():
@@ -526,22 +573,26 @@ def test_sweep_single_cell():
     base = harness.TrialConfig(
         n=40, d=4, op_kind="full", zeta_star=0.999, max_iters=5000, seed=10
     )
-    cells = harness.sweep(
-        base, [(40, 4, None)], trials_per_cell=5, bound_fn=lambda n, d, m: 1000.0
-    )
+    cells = harness.sweep(base, [(40, 4, None)], trials_per_cell=5)
     assert len(cells) == 1
     cell = cells[0]
     assert cell.fail_frac == 0.0
-    assert 0.0 < cell.mean_ratio < 1.0
+    # Each trial's iterations over the heuristic count at m = n.
+    iterations = [
+        harness.run_trial(
+            dataclasses.replace(base, seed=base.seed + trial, diagnostics_level="none")
+        ).iterations
+        for trial in range(5)
+    ]
+    heuristic = theory.heuristic_iterations(40, 40, 4, base.zeta_star)
+    assert cell.mean_ratio == pytest.approx(np.mean(iterations) / heuristic, rel=1e-12)
 
 
 def test_sweep_impossible_cell_fails():
     base = harness.TrialConfig(
         n=40, d=4, op_kind="entrywise", m=4, zeta_star=0.999, max_iters=50, seed=11
     )
-    cells = harness.sweep(
-        base, [(40, 4, 4)], trials_per_cell=3, bound_fn=lambda n, d, m: 100.0
-    )
+    cells = harness.sweep(base, [(40, 4, 4)], trials_per_cell=3)
     cell = cells[0]
     assert cell.fail_frac == 1.0
     assert np.isnan(cell.mean_ratio)
@@ -553,6 +604,20 @@ def test_sweep_impossible_cell_fails():
     assert cell.step_counts["skipped_rank_deficient"] > 0
     assert cell.step_counts["skipped_zero_residual"] > 0
     assert cell.wall_time_s > 0.0
+
+
+@pytest.mark.parametrize("kind", ["full", "gaussian", "entrywise"])
+def test_verify_passes_across_frequent_reorthonormalizations(monkeypatch, kind):
+    # A reorthonormalization re-forms M and may flip the sign of det M; the
+    # determinant identities must read det M across the rank-one update.
+    monkeypatch.setattr(grouse, "REORTH_EVERY", 7)
+    config = harness.TrialConfig(
+        n=60, d=4, op_kind=kind, m=None if kind == "full" else 20, seed=23
+    )
+    report = harness.verify_step_invariants(config, 100)
+    assert report["passed"], report["identities"]
+    name = "full_data_exact_ratio" if kind == "full" else "schur_determinant_identity"
+    assert report["identities"][name]["samples"] >= 70
 
 
 def test_verify_step_invariants_all_modes():
