@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datagen, grouse, metrics, sampling, theory
+from . import datagen, grouse, metrics, numerics, sampling, theory
 from .grouse import StepStatus
-from .numerics import project
 
 SERIES_COLUMNS = (
     "t",
@@ -165,23 +164,28 @@ class _Trial:
             self._track()
         return report
 
-    def diagnose(
-        self, sample: datagen.StreamSample, U: np.ndarray
-    ) -> tuple[np.ndarray | None, float]:
-        """(w_par, Delta) of the coming step, from U, the basis before it.
+    def diagnose(self, sample: datagen.StreamSample, U: np.ndarray) -> tuple:
+        """(B, v_par, v_perp, w_par, Delta) of the coming step from its basis U.
 
-        w_par is None when the sampled basis is rank deficient; Delta is
-        NaN then and when the overlap Ubar^T U is singular.
+        Each product is formed once: the restricted basis B = A U, the
+        split v = v_par + v_perp against span(U), x_par = A v_par, the
+        coefficient split of sample.x and the lifted residual r it leaves.
+        Delta is taken against the tracked M = Ubar^T U. w_par is None when
+        B is rank deficient; Delta is NaN then and when M is singular.
         """
+        B = sampling.restrict_basis(sample.op, U)
+        v_par, v_perp = numerics.project(U, sample.v)
+        x_par = sampling.apply(sample.op, v_par)
         try:
-            split = theory.coefficient_split(U, sample.op, sample.v)
-        except grouse.RankDeficient:
-            return None, np.nan
+            w_par, w_perp = theory.coefficient_split(B, sample.x, x_par)
+        except numerics.RankDeficient:
+            return B, v_par, v_perp, None, np.nan
+        r = sampling.adjoint(sample.op, sample.x - B @ (w_par + w_perp))
         try:
-            delta = theory.delta_term(U, self.truth.Ubar, sample.op, sample.v, split)
+            delta = theory.delta_term(self.M, self.truth.Ubar, r, w_perp)
         except theory.SingularOverlap:
             delta = np.nan
-        return split[0], delta
+        return B, v_par, v_perp, w_par, delta
 
     def _track(self) -> None:
         """(sign, log|det M|) and log zeta of the current M, from one slogdet."""
@@ -206,7 +210,7 @@ def run_trial(config: TrialConfig) -> TrialSeries:
     for t, sample in enumerate(trial.stream(config.op_spec(), config.max_iters)):
         delta = bound = np.nan
         if full_diag:
-            _, delta = trial.diagnose(sample, trial.state.U)
+            delta = trial.diagnose(sample, trial.state.U)[-1]
         report = trial.step(sample)
         step_counts[report.status] += 1
         if report.reorthonormalized:
@@ -458,12 +462,10 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         cosines_before = metrics.overlap_cosines(trial.M)
         zeta_before = float(np.exp(trial.log_zeta))
 
-        v_par, v_perp = project(U_before, sample.v)
+        B, v_par, v_perp, w_par, delta = trial.diagnose(sample, U_before)
         norm_v = max(float(np.linalg.norm(sample.v)), 1e-300)
         norm_v_par = float(np.linalg.norm(v_par))
         norm_v_perp = float(np.linalg.norm(v_perp))
-
-        w_par, delta = trial.diagnose(sample, U_before)
         report = trial.step(sample)
 
         # Identities independent of the update outcome.
@@ -497,7 +499,6 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         if report.status is not StepStatus.UPDATED:
             continue
 
-        B = sampling.restrict_basis(sample.op, U_before)
         r_tilde = sample.x - B @ report.w
         note(
             "residual_orthogonal_to_sampled_basis",
@@ -510,9 +511,12 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         det_ratio = float(sign_before * sign_after * np.exp(logdet_after - logdet_before))
         zeta_ratio = det_ratio**2
 
+        # With full data and the greedy angle the signed ratio is
+        # cos(theta) + (||v_perp|| / ||v_par||) sin(theta) > 0, so the sign
+        # is checked too: a flipped one reads 2.
         if config.op_kind == "full" and norm_v_par > 1e-12:
             predicted = theory.exact_full_ratio(norm_v_par, norm_v_perp)
-            note("full_data_exact_ratio", abs(zeta_ratio / predicted - 1.0))
+            note("full_data_exact_ratio", abs(det_ratio * abs(det_ratio) / predicted - 1.0))
         if config.op_kind != "full" and not np.isnan(delta):
             norm_p, norm_r, norm_rt = report.norm_p, report.norm_r, report.norm_r_tilde
             predicted_det = (norm_p**2 + norm_rt**2 + delta) / (

@@ -24,7 +24,7 @@ class PrincipalAngleProfile:
     """Principal-angle summary between two d-dimensional subspaces.
 
     cosines are descending in [0, 1]; zeta = prod cosines^2 (log-domain);
-    kappa = 1 - zeta; frob_discrepancy = sum of sin^2 over all angles.
+    frob_discrepancy = sum of sin^2 over all angles.
     log_zeta is -inf when the overlap matrix is exactly singular, so
     downstream ratios can report "undefined" instead of NaN.
     """
@@ -34,15 +34,6 @@ class PrincipalAngleProfile:
     zeta: float
     log_zeta: float
     frob_discrepancy: float
-
-    @property
-    def kappa(self) -> float:
-        return 1.0 - self.zeta
-
-    @property
-    def largest_angle(self) -> float:
-        """phi_d, the largest principal angle, in radians."""
-        return float(np.arccos(self.cosines[-1]))
 
 
 def overlap_cosines(M: np.ndarray) -> np.ndarray:
@@ -92,12 +83,6 @@ def principal_angles(U: np.ndarray, Ubar: np.ndarray) -> PrincipalAngleProfile:
     )
 
 
-def log_det_overlap(U: np.ndarray, Ubar: np.ndarray) -> tuple[float, float]:
-    """(sign, log|det|) of Ubar^T U, stable for tiny determinants."""
-    sign, logabs = np.linalg.slogdet(Ubar.T @ U)
-    return float(sign), float(logabs)
-
-
 def subspace_incoherence(U: np.ndarray) -> float:
     """Spread of span(U) over coordinates: (n/d) * max_i ||P_U e_i||^2.
 
@@ -120,17 +105,3 @@ def procrustes_distance(U: np.ndarray, Ubar: np.ndarray) -> float:
     d = U.shape[1]
     return float(np.sqrt(max(0.0, 2.0 * (d - np.sum(cosines)))))
 
-
-def local_region_check(
-    U: np.ndarray, Ubar: np.ndarray, mu0: float | None = None
-) -> bool:
-    """Whether U lies in the near-truth region sum sin^2 <= d*mu0/(16n).
-
-    This is the regime in which the missing-data expected-improvement
-    guarantee applies. mu0 defaults to the incoherence of Ubar.
-    """
-    n, d = Ubar.shape
-    if mu0 is None:
-        mu0 = subspace_incoherence(Ubar)
-    profile = principal_angles(U, Ubar)
-    return bool(profile.frob_discrepancy <= d * mu0 / (16.0 * n))

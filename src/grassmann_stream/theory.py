@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics, sampling
-from .numerics import RankDeficient
+from . import numerics
 
 
 class ZeroProjection(ValueError):
@@ -100,48 +99,38 @@ def heuristic_iterations(n: int, m: int, d: int, zeta_star: float) -> float:
 
 
 def coefficient_split(
-    U: np.ndarray, op: sampling.SamplingOperator, v: np.ndarray
+    B: np.ndarray, x: np.ndarray, x_par: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split the restricted least-squares coefficients of v against U.
+    """Split the least-squares coefficients of x against B = A U.
 
-    Returns (w_par, w_perp): the coefficient contributions of the
-    projection of v onto span(U) and of its orthogonal remainder. Their
-    sum is the least-squares solution for the observed vector. Both parts
-    come from one solve with a two-column right-hand side.
+    x = A v are the measurements of v and x_par = A v_par those of its
+    projection v_par onto span(U). Returns (w_par, w_perp): the
+    coefficients of x_par and of x - x_par, from one solve with a
+    two-column right-hand side. Their sum solves the least squares of x.
+    Raises numerics.RankDeficient when B is rank deficient.
 
-    The measurements of v_perp are those of v minus those of v_par, so a
-    lazy Gaussian operator is not asked about v_perp: near convergence its
-    rounding error would look like a new direction.
+    The measurements of v_perp are taken as x - x_par, so a lazy Gaussian
+    operator is not asked about v_perp: near convergence its rounding
+    error would look like a new direction.
     """
-    v_par, _ = numerics.project(U, v)
-    B = sampling.restrict_basis(op, U)
-    x_par = sampling.apply(op, v_par)
-    X = np.column_stack((x_par, sampling.apply(op, v) - x_par))
-    W = numerics.least_squares(B, X)
+    W = numerics.least_squares(B, np.column_stack((x_par, x - x_par)))
     return W[:, 0], W[:, 1]
 
 
 def delta_term(
-    U: np.ndarray,
-    Ubar: np.ndarray,
-    op: sampling.SamplingOperator,
-    v: np.ndarray,
-    split: tuple[np.ndarray, np.ndarray],
+    M: np.ndarray, Ubar: np.ndarray, r: np.ndarray, w_perp: np.ndarray
 ) -> float:
     """The perturbation undersampling injects into the determinant update.
 
-    Delta = w_perp^T (Ubar^T U)^{-1} Ubar^T r, where w_perp is the
-    coefficient leakage of the orthogonal remainder of v and r is the
-    lifted residual of the least-squares solution w = w_par + w_perp.
-    split is (w_par, w_perp) = coefficient_split(U, op, v), which callers
-    also use on its own. Zero (to rounding) for full sampling. Raises
-    SingularOverlap when Ubar^T U is exactly singular.
+    Delta = w_perp^T M^{-1} Ubar^T r, where M = Ubar^T U is the overlap of
+    the basis U before the step, w_perp is the coefficient leakage of the
+    orthogonal remainder of v (from coefficient_split) and r = A^T (x - B w)
+    is the lifted residual of the least-squares solution w = w_par + w_perp.
+    O(nd + d^3). Zero (to rounding) for full sampling. Raises
+    SingularOverlap when M is exactly singular.
     """
-    w_par, w_perp = split
-    B = sampling.restrict_basis(op, U)
-    r = sampling.adjoint(op, sampling.apply(op, v) - B @ (w_par + w_perp))
     try:
-        return float(w_perp @ np.linalg.solve(Ubar.T @ U, Ubar.T @ r))
+        return float(w_perp @ np.linalg.solve(M, Ubar.T @ r))
     except np.linalg.LinAlgError as exc:
         raise SingularOverlap("estimate and truth share no overlap in some direction") from exc
 

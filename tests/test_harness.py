@@ -317,20 +317,27 @@ def test_harness_steps_through_grouse_step(monkeypatch):
     assert len(calls) >= 2 * 30
     # The tracer's per-layer numbers also need each layer called through
     # its module: one entry-wise step makes one call to each.
-    layer_calls = Counter()
-    for module, name in (
-        (sampling, "restrict_basis"), (sampling, "adjoint"), (numerics, "least_squares")
-    ):
-        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
-            layer_calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
+    layer_calls = _count_calls(
+        monkeypatch,
+        (sampling, "restrict_basis"), (sampling, "adjoint"), (numerics, "least_squares"),
+    )
     series = harness.run_trial(
         harness.TrialConfig(n=100, d=8, op_kind="entrywise", m=40, max_iters=1, seed=4)
     )
     assert series.step_counts["updated"] == 1
     assert layer_calls == {"restrict_basis": 1, "adjoint": 1, "least_squares": 1}
+
+
+def _count_calls(monkeypatch, *targets) -> Counter:
+    """Calls made through each (module, name) attribute, counted by name."""
+    calls = Counter()
+    for module, name in targets:
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def _count_svd_calls(monkeypatch) -> list:
@@ -618,6 +625,68 @@ def test_verify_passes_across_frequent_reorthonormalizations(monkeypatch, kind):
     assert report["passed"], report["identities"]
     name = "full_data_exact_ratio" if kind == "full" else "schur_determinant_identity"
     assert report["identities"][name]["samples"] >= 70
+
+
+def test_verify_sees_a_flipped_sign_of_the_full_data_ratio(monkeypatch):
+    # Reading det M after a reorthonormalization, which may flip its sign,
+    # leaves the squared ratio intact; the signed ratio must catch it.
+    real_step = harness._Trial.step
+
+    def late_det(self, sample):
+        report = real_step(self, sample)
+        self.update_det = (self.sign, self.logdet)
+        return report
+
+    monkeypatch.setattr(harness._Trial, "step", late_det)
+    monkeypatch.setattr(grouse, "REORTH_EVERY", 7)
+    config = harness.TrialConfig(n=60, d=4, seed=23)
+    result = harness.verify_step_invariants(config, 100)["identities"][
+        "full_data_exact_ratio"
+    ]
+    assert not result["passed"]
+    assert result["max_violation"] == pytest.approx(2.0, abs=1e-6)
+
+
+def _drop_span_term(report, Ubar, M):
+    if report.update_rows is None:
+        return Ubar.T @ report.update_dir
+    return Ubar[report.update_rows].T @ report.update_dir
+
+
+def _scale_change(report, Ubar, M, _real=grouse.StepReport.overlap_change):
+    return (1.0 + 1e-6) * _real(report, Ubar, M)
+
+
+@pytest.mark.parametrize(
+    "mutant, kinds",
+    [(_drop_span_term, ["entrywise"]), (_scale_change, ["gaussian", "entrywise"])],
+    ids=["drop-span-term", "scale-1e-6"],
+)
+def test_verify_catches_a_wrong_overlap_change(monkeypatch, mutant, kinds):
+    # The tracked M feeds log zeta, the cosines and Delta: a wrong rank-one
+    # change of it must fail verify from a random start.
+    monkeypatch.setattr(grouse.StepReport, "overlap_change", mutant)
+    for kind in kinds:
+        config = harness.TrialConfig(n=60, d=4, op_kind=kind, m=20, seed=23)
+        assert not harness.verify_step_invariants(config, 250)["passed"], kind
+
+
+def test_verified_step_forms_each_product_once(monkeypatch):
+    # One verified entry-wise step: A U once for the diagnostics and once
+    # in the step, A v once in the stream and A v_par once, one projection,
+    # one coefficient split and one Delta.
+    calls = _count_calls(
+        monkeypatch,
+        (sampling, "restrict_basis"), (sampling, "apply"), (numerics, "project"),
+        (theory, "coefficient_split"), (theory, "delta_term"),
+    )
+    config = harness.TrialConfig(n=60, d=4, op_kind="entrywise", m=20, seed=23)
+    report = harness.verify_step_invariants(config, 1)
+    assert report["identities"]["schur_determinant_identity"]["samples"] == 1
+    assert calls == {
+        "restrict_basis": 2, "apply": 2, "project": 1,
+        "coefficient_split": 1, "delta_term": 1,
+    }
 
 
 def test_verify_step_invariants_all_modes():

@@ -16,7 +16,6 @@ def test_identical_subspaces():
     prof = metrics.principal_angles(U, U)
     assert np.allclose(prof.cosines, 1.0, atol=1e-12)
     assert prof.zeta == pytest.approx(1.0, abs=1e-12)
-    assert prof.kappa == pytest.approx(0.0, abs=1e-12)
     assert prof.frob_discrepancy == pytest.approx(0.0, abs=1e-12)
 
 
@@ -38,7 +37,7 @@ def test_single_known_angle():
     U = np.array([[1, 0], [0, c], [0, np.sin(np.pi / 4)], [0, 0]], dtype=float)
     prof = metrics.principal_angles(U, Ubar)
     assert prof.zeta == pytest.approx(0.5, rel=1e-12)
-    assert prof.largest_angle == pytest.approx(np.pi / 4, rel=1e-12)
+    assert np.arccos(prof.cosines[-1]) == pytest.approx(np.pi / 4, rel=1e-12)
     assert prof.frob_discrepancy == pytest.approx(0.5, rel=1e-12)
 
 
@@ -64,7 +63,7 @@ def test_log_domain_survives_tiny_zeta():
 def test_log_det_overlap_matches_angles():
     U = _random_basis(30, 5, 6)
     Ubar = _random_basis(30, 5, 7)
-    _, logabs = metrics.log_det_overlap(U, Ubar)
+    _, logabs = np.linalg.slogdet(Ubar.T @ U)
     prof = metrics.principal_angles(U, Ubar)
     assert 2 * logabs == pytest.approx(prof.log_zeta, rel=1e-10)
 
@@ -105,13 +104,6 @@ def test_procrustes_sandwich():
         dist_sq = metrics.procrustes_distance(U, Ubar) ** 2
         assert prof.frob_discrepancy <= dist_sq + 1e-10
         assert dist_sq <= 2 * prof.frob_discrepancy + 1e-10
-
-
-def test_local_region_check():
-    Ubar = _random_basis(100, 5, 8)
-    assert metrics.local_region_check(Ubar, Ubar)
-    far = _random_basis(100, 5, 9)
-    assert not metrics.local_region_check(far, Ubar)
 
 
 @settings(deadline=None, max_examples=25)

@@ -161,14 +161,23 @@ def test_expected_zeta0_frozen():
 # --- perturbation term Delta against execution oracles -------------------
 
 
+def _split_and_delta(U, Ubar, op, v):
+    """(w_par, w_perp, Delta) of v observed through op, against a fresh Ubar^T U."""
+    B = sampling.restrict_basis(op, U)
+    x = sampling.apply(op, v)
+    v_par, _ = numerics.project(U, v)
+    w_par, w_perp = theory.coefficient_split(B, x, sampling.apply(op, v_par))
+    r = sampling.adjoint(op, x - B @ (w_par + w_perp))
+    return w_par, w_perp, theory.delta_term(Ubar.T @ U, Ubar, r, w_perp)
+
+
 def test_delta_zero_for_full_sampling():
     rng = np.random.default_rng(0)
     for _ in range(10):
         Ubar = datagen.gen_dense_truth(40, 5, rng).Ubar
         U = grouse.init_random(40, 5, rng).U
         v = Ubar @ rng.standard_normal(5)
-        op = sampling.make_full(40)
-        delta = theory.delta_term(U, Ubar, op, v, theory.coefficient_split(U, op, v))
+        _, _, delta = _split_and_delta(U, Ubar, sampling.make_full(40), v)
         assert abs(delta) < 1e-12
 
 
@@ -180,10 +189,10 @@ def test_coefficient_split_sums_to_solution():
             U = grouse.init_random(60, 6, rng).U
             v = Ubar @ rng.standard_normal(6)
             op = datagen.OpSpec(kind, 30).draw(60, rng)
-            w_par, w_perp = theory.coefficient_split(U, op, v)
-            w = numerics.least_squares(
-                sampling.restrict_basis(op, U), sampling.apply(op, v)
-            )
+            B, x = sampling.restrict_basis(op, U), sampling.apply(op, v)
+            v_par, _ = numerics.project(U, v)
+            w_par, w_perp = theory.coefficient_split(B, x, sampling.apply(op, v_par))
+            w = numerics.least_squares(B, x)
             assert np.linalg.norm(w_par + w_perp - w) <= 1e-10 * np.linalg.norm(w)
 
 
@@ -204,12 +213,11 @@ def test_schur_identity_oracle():
                 if kind == "gaussian"
                 else sampling.make_entrywise(m, n, rng)
             )
-            split = theory.coefficient_split(U_before, op, v)
-            delta = theory.delta_term(U_before, Ubar, op, v, split)
+            _, _, delta = _split_and_delta(U_before, Ubar, op, v)
             report = grouse.step(state, op, sampling.apply(op, v))
             assert report.status is grouse.StepStatus.UPDATED
-            s0, l0 = metrics.log_det_overlap(U_before, Ubar)
-            s1, l1 = metrics.log_det_overlap(state.U, Ubar)
+            s0, l0 = np.linalg.slogdet(Ubar.T @ U_before)
+            s1, l1 = np.linalg.slogdet(Ubar.T @ state.U)
             measured = s0 * s1 * np.exp(l1 - l0)
             predicted = (report.norm_p**2 + report.norm_r_tilde**2 + delta) / (
                 report.norm_p * np.sqrt(report.norm_p**2 + report.norm_r**2)
@@ -225,8 +233,7 @@ def test_step_lower_bound_holds_on_trajectories():
     checked = 0
     for sample in datagen.gen_stream(truth, datagen.OpSpec("entrywise", m), 150, rng):
         U_before = state.U.copy()
-        split = theory.coefficient_split(U_before, sample.op, sample.v)
-        delta = theory.delta_term(U_before, truth.Ubar, sample.op, sample.v, split)
+        _, _, delta = _split_and_delta(U_before, truth.Ubar, sample.op, sample.v)
         before = metrics.principal_angles(U_before, truth.Ubar).log_zeta
         report = grouse.step(state, sample.op, sample.x)
         if report.status is not grouse.StepStatus.UPDATED:
@@ -254,8 +261,5 @@ def test_delta_singular_overlap_raises():
     # Fully sampled, so the split exists while the overlap is singular.
     Ubar = np.eye(6)[:, :2]
     U = np.eye(6)[:, 2:4]
-    op = sampling.make_full(6)
-    v = Ubar @ np.ones(2)
-    split = theory.coefficient_split(U, op, v)
     with pytest.raises(theory.SingularOverlap):
-        theory.delta_term(U, Ubar, op, v, split)
+        _split_and_delta(U, Ubar, sampling.make_full(6), Ubar @ np.ones(2))
