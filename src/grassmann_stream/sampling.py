@@ -55,7 +55,9 @@ class GaussianSampling:
 
     A query of p columns costs O((n + m)(k + j) p + n p^2) plus m p (or
     n p) normal draws for its new directions, instead of the m n draws of
-    the dense matrix.
+    the dense matrix. A one-column query (A v, A^T r) takes no matrix
+    factorization, and an empty memo is not projected against; both
+    special cases give the general formula's bits.
     """
 
     m: int
@@ -98,12 +100,27 @@ def _reveal(basis, image, dual_basis, dual_image, W, rng, n):
     # Drawn one column at a time, so a column dropped or kept at the
     # rounding threshold changes no other column's draws.
     Z = rng.standard_normal((new.shape[1], dual_basis.shape[0])).T / math.sqrt(n)
-    fresh = dual_basis @ (dual_image.T @ new) + _project_out(dual_basis, Z)
+    fresh = _project_out(dual_basis, Z)
+    if dual_basis.shape[1]:
+        fresh += dual_basis @ (dual_image.T @ new)
     return np.hstack((basis, new)), np.hstack((image, fresh))
 
 
 def _project_out(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
-    out = basis @ (basis.T @ W)
+    """W - basis (basis^T W), as a new C-ordered array.
+
+    An empty basis gives a copy of W. A one-column basis forms its
+    rank-one term as an outer product, one rounded product per entry as
+    in the matmul. Both give the general formula's bits, up to the sign
+    of an entry that is exactly zero.
+    """
+    if basis.shape[1] == 0:
+        return W.copy()
+    coef = basis.T @ W
+    if basis.shape[1] == 1 and W.ndim == 2:
+        out = np.einsum("i,j->ij", basis[:, 0], coef[0])
+    else:
+        out = basis @ coef
     return np.subtract(W, out, out=out)
 
 
@@ -149,14 +166,24 @@ def _cholesky_q(X: np.ndarray, max_dev: float) -> np.ndarray | None:
     """X R^-1 for the Cholesky factor R of X^T X, i.e. the Q of X = Q R.
 
     None when the Cholesky factorization fails or R is further than
-    max_dev from the identity.
+    max_dev from the identity. A single column takes no factorization:
+    it is scaled by 1 / sqrt(X^T X), the square root and reciprocal that
+    LAPACK's 1 x 1 factor and inverse compute, and each product is added
+    to +0.0 as the matmul adds it, so the bits are the same. As LAPACK
+    does, it fails on a Gram <= 0 and lets NaN and inf through.
     """
-    try:
-        L = np.linalg.cholesky(X.T @ X)
-    except np.linalg.LinAlgError:
+    gram = X.T @ X
+    if X.shape[1] == 1:
+        L = None if gram[0, 0] <= 0.0 else np.sqrt(gram)
+    else:
+        try:
+            L = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            L = None
+    if L is None or np.abs(L - np.eye(L.shape[0])).max(initial=0.0) > max_dev:
         return None
-    if np.abs(L - np.eye(L.shape[0])).max(initial=0.0) > max_dev:
-        return None
+    if X.shape[1] == 1:
+        return X * (1.0 / L) + 0.0
     return X @ np.linalg.inv(L.T)
 
 

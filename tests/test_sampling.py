@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,86 @@ def test_gaussian_restriction_is_continuous(offset):
         sampling.apply(op, v)
         answers.append(sampling.restrict_basis(op, basis))
     assert np.abs(answers[0] - answers[1]).max() <= 1e-10
+
+
+def test_gaussian_step_factors_only_the_basis_query(monkeypatch):
+    # A step asks a fresh operator for A v, A U and A^T r. Only the
+    # d-column query takes CholeskyQR2's two factorizations and inverses;
+    # the one-column queries are normalized.
+    rng = np.random.default_rng(10)
+    n, m, d = 300, 40, 5
+    U = np.linalg.qr(rng.standard_normal((n, d)))[0]
+    v, r = rng.standard_normal(n), rng.standard_normal(m)
+    op = sampling.make_gaussian(m, n, rng)
+    calls = Counter()
+    for name in ("cholesky", "inv"):
+        def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    sampling.apply(op, v)
+    sampling.restrict_basis(op, U)
+    sampling.adjoint(op, r)
+    assert calls == {"cholesky": 2, "inv": 2}
+
+
+def _factored_cholesky_q(X, max_dev):
+    """_cholesky_q through LAPACK's factorization and inverse at any width."""
+    try:
+        L = np.linalg.cholesky(X.T @ X)
+    except np.linalg.LinAlgError:
+        return None
+    if np.abs(L - np.eye(L.shape[0])).max(initial=0.0) > max_dev:
+        return None
+    return X @ np.linalg.inv(L.T)
+
+
+@pytest.mark.parametrize("max_dev", [np.inf, sampling._NEAR_IDENTITY])
+@pytest.mark.parametrize("case", ["ordinary", "unit", "subnormal", "zero", "nan", "inf"])
+def test_one_column_cholesky_q_matches_the_factorization(case, max_dev):
+    x = np.random.default_rng(11).standard_normal(50)
+    if case == "unit":
+        x /= np.linalg.norm(x)
+    elif case in ("subnormal", "zero"):
+        x[:] = 0.0
+        x[0] = 1e-160 if case == "subnormal" else 0.0
+    elif case in ("nan", "inf"):
+        x[3] = np.nan if case == "nan" else np.inf
+    X = x[:, None]
+    if case == "subnormal":
+        assert 0.0 < (X.T @ X)[0, 0] < np.finfo(float).tiny
+    with np.errstate(invalid="ignore"):
+        expected = _factored_cholesky_q(X, max_dev)
+        got = sampling._cholesky_q(X, max_dev)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_gaussian_memo_does_not_alias_the_queries():
+    # Overwriting a query after it is answered changes no later answer:
+    # the operator answers bit for bit as a twin on the same seed that
+    # was asked unaliased copies.
+    rng = np.random.default_rng(12)
+    n, m, d = 80, 20, 4
+    U = np.linalg.qr(rng.standard_normal((n, d)))[0]
+    v = rng.standard_normal(n)
+    v0, U0 = v.copy(), U.copy()
+    op, twin = (sampling.make_gaussian(m, n, np.random.default_rng(13)) for _ in range(2))
+    first = sampling.apply(op, v), sampling.restrict_basis(op, U)
+    v[:] = rng.standard_normal(n)
+    U[:] = rng.standard_normal((n, d))
+    twin_first = sampling.apply(twin, v0.copy()), sampling.restrict_basis(twin, U0.copy())
+    for op_answer, twin_answer in zip(first, twin_first):
+        assert np.array_equal(op_answer, twin_answer)
+    for query, w in ((sampling.apply, v0), (sampling.restrict_basis, U0)):
+        assert np.array_equal(query(op, w), query(twin, w))
+    assert np.array_equal(
+        sampling.restrict_basis(op, np.eye(n)), sampling.restrict_basis(twin, np.eye(n))
+    )
 
 
 def _revealed(A):
