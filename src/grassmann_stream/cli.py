@@ -83,11 +83,10 @@ def _load_config(path: str) -> dict:
 _TRIAL_FIELDS = {f.name for f in dataclasses.fields(harness.TrialConfig)}
 # Block name -> the keys its command reads.
 _BLOCK_KEYS = {
-    "sweep": {"ns", "ds", "ms", "trials_per_cell", "cap_multiple"},
+    "sweep": {"ns", "ds", "ms", "trials_per_cell"},
     "monte_carlo": {"num_steps", "num_trials"},
     "verify": {"num_steps"},
-    "bounds": {"n", "d", "m", "rho", "zeta_star", "zeta", "delta", "phi_d", "mu0",
-               "mu_vperp", "kappa"},
+    "bounds": {"rho", "zeta", "delta", "phi_d", "mu0", "mu_vperp", "kappa"},
 }
 
 
@@ -164,20 +163,15 @@ def _parse_sweep(cfg: dict, seed: int | None):
     grid = [(n, d, m) for n in ns for d in ds for m in ms]
     if not grid or trials < 1:
         raise ConfigError("sweep grid must be non-empty with trials_per_cell >= 1")
-    cap_multiple = sweep_cfg.get("cap_multiple")
-    if cap_multiple is not None:
-        cap_multiple = float(cap_multiple)
-        if not cap_multiple > 0.0:
-            raise ConfigError("cap_multiple must be positive")
     for n, d, m in grid:
         # Builds each cell once, so a bad cell fails before any runs.
         dataclasses.replace(base, n=n, d=d, m=m)
-    return base, sweep_cfg, grid, trials, cap_multiple
+    return base, sweep_cfg, grid, trials
 
 
 def _cmd_sweep(plan, args) -> int:
-    base, sweep_cfg, grid, trials, cap_multiple = plan
-    cells = harness.sweep(base, grid, trials, cap_multiple=cap_multiple)
+    base, sweep_cfg, grid, trials = plan
+    cells = harness.sweep(base, grid, trials)
     out = Path(args.out)
     header = ("n", "d", "m", "mean_ratio", "var_ratio", "fail_frac")
     rows = [
@@ -249,14 +243,13 @@ def _cmd_verify(plan, args) -> int:
 
 
 def _parse_bounds(cfg: dict, seed: int | None) -> dict:
-    """Evaluates every closed-form bound; out-of-range parameters raise here."""
+    """Evaluates every closed-form bound at the trial config's n, d, m (n if
+    unset) and zeta_star; out-of-range parameters raise here."""
     bounds_cfg = _block(cfg, "bounds")
-    n = _integer("n", cfg.get("n", bounds_cfg.get("n", 5000)))
-    d = _integer("d", cfg.get("d", bounds_cfg.get("d", 10)))
-    m = cfg.get("m", bounds_cfg.get("m"))
-    m = n if m is None else _integer("m", m)
+    config = _trial_config(cfg, seed)
+    n, d, zeta_star = config.n, config.d, config.zeta_star
+    m = n if config.m is None else config.m
     rho = float(bounds_cfg.get("rho", 0.1))
-    zeta_star = float(cfg.get("zeta_star", bounds_cfg.get("zeta_star", 1.0 - 1e-4)))
     zeta = float(bounds_cfg.get("zeta", 0.5))
     delta = float(bounds_cfg.get("delta", 0.25))
     phi_d = float(bounds_cfg.get("phi_d", 0.1))

@@ -378,16 +378,14 @@ def sweep(
     base: TrialConfig,
     grid: list[tuple[int, int, int | None]],
     trials_per_cell: int,
-    cap_multiple: float | None = None,
 ) -> list[SweepCell]:
     """Ratio of actual iterations to the heuristic count over a (n, d, m) grid.
 
     The heuristic is theory.heuristic_iterations(n, m, d, base.zeta_star),
-    with m = n for full sampling. Trials that hit the iteration cap count
-    toward fail_frac and are excluded from the ratio statistics. With
-    cap_multiple, each cell's cap is int(cap_multiple * the heuristic at
-    max(m, d + 1)) + 1 instead of base.max_iters: rank-deficient cells
-    (m <= d) would otherwise burn the whole budget on skipped steps.
+    with m = n for full sampling. Every trial runs for at most
+    base.max_iters steps; trials that reach it count toward fail_frac and
+    are excluded from the ratio statistics. A cell with m <= d skips all
+    or nearly all of its steps, so each of its trials runs the whole cap.
     """
     cells = []
     for n, d, m in grid:
@@ -395,11 +393,6 @@ def sweep(
         cell = dataclasses.replace(base, n=n, d=d, m=m, diagnostics_level="none")
         sampled = n if cell.op_kind == "full" else m
         bound = theory.heuristic_iterations(n, sampled, d, base.zeta_star)
-        if cap_multiple is not None:
-            cap = cap_multiple * theory.heuristic_iterations(
-                n, max(sampled, d + 1), d, base.zeta_star
-            )
-            cell = dataclasses.replace(cell, max_iters=int(cap) + 1)
         ratios = []
         step_counts = {status.value: 0 for status in StepStatus}
         for trial in range(trials_per_cell):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Relative rank tolerance: smallest singular value must exceed
-# RANK_RTOL * largest for a matrix to count as full column rank.
-RANK_RTOL = 1e-10
+# Relative rank tolerances: smallest singular value must exceed the
+# tolerance times the largest for a matrix to count as full column rank.
+RANK_RTOL = 1e-10  # least_squares
+ORTHONORMALIZE_RTOL = 1e-12  # orthonormalize
 
 
 class RankDeficient(ValueError):
@@ -25,21 +26,22 @@ def orthonormality_drift(U: np.ndarray) -> float:
     return float(np.linalg.norm(U.T @ U - np.eye(d)))
 
 
-def orthonormalize(M: np.ndarray, rank_rtol: float = 1e-12) -> np.ndarray:
+def orthonormalize(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span of M, via reduced QR.
 
     Raises RankDeficient if the numerical rank of M is below its column
-    count (smallest singular value <= rank_rtol * largest).
+    count (smallest singular value <= ORTHONORMALIZE_RTOL * largest).
     """
     M = np.asarray(M, dtype=np.float64)
     Q, R = np.linalg.qr(M)
     _check_full_rank(
-        R, rank_rtol, f"matrix of shape {M.shape} has numerical rank below {M.shape[1]}"
+        R, ORTHONORMALIZE_RTOL,
+        f"matrix of shape {M.shape} has numerical rank below {M.shape[1]}",
     )
     return Q
 
 
-def least_squares(B: np.ndarray, x: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def least_squares(B: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Unique minimizer w of ||B w - x||_2 via one QR factorization of [B x].
 
     Its triangular factor holds the R of B = Q R in its leading d x d
@@ -49,7 +51,7 @@ def least_squares(B: np.ndarray, x: np.ndarray, rank_rtol: float = RANK_RTOL) ->
     The QR route keeps the conditioning proportional to cond(B), which
     matters when B is a sampled basis with barely more rows than columns.
     Raises RankDeficient when the smallest singular value of B is at most
-    rank_rtol times the largest (callers treat this as "skip this step").
+    RANK_RTOL times the largest (callers treat this as "skip this step").
     The triangular factor R is certified full rank from ||R||_F ||R^-1||_F
     when it is well conditioned; otherwise the singular values of R decide,
     as they would without the certificate. w is always the LU solve of
@@ -66,7 +68,7 @@ def least_squares(B: np.ndarray, x: np.ndarray, rank_rtol: float = RANK_RTOL) ->
     d = B.shape[1]
     R_Bx = np.linalg.qr(np.column_stack((B, x)), mode="r")
     R, Qt_x = R_Bx[:d, :d], R_Bx[:d, d:]
-    _check_full_rank(R, rank_rtol, "least-squares matrix is numerically rank deficient")
+    _check_full_rank(R, RANK_RTOL, "least-squares matrix is numerically rank deficient")
     return np.linalg.solve(R, Qt_x if x.ndim == 2 else Qt_x[:, 0])
 
 

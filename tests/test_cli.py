@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grassmann_stream import cli, grouse, harness, theory
+from grassmann_stream import cli, grouse, harness
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -169,7 +169,7 @@ def test_verify_fault_injection_exits_1(tmp_path, monkeypatch):
 def test_bounds_outputs(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path,
-        {"n": 5000, "d": 10, "bounds": {"rho": 0.1, "zeta_star": 0.9999}},
+        {"n": 5000, "d": 10, "zeta_star": 0.9999, "bounds": {"rho": 0.1}},
     )
     out = tmp_path / "out"
     rc = cli.main(["bounds", "--config", cfg, "--out", str(out), "--format", "json"])
@@ -239,11 +239,11 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         ("run", {**BASE_CFG, "n": "50"}),
         ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": "x"}}),
         ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "ds": [40]}}),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multiple": -1}}),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multiple": 3.0}}),
         ("verify", {**BASE_CFG, "verify": {"num_steps": "x"}}),
         ("histogram", BASE_CFG),
         ("bounds", {"n": 50.7, "d": 5}),
-        ("bounds", {"n": 50, "d": 5, "bounds": {"m": 20.5}}),
+        ("bounds", {"n": 50, "d": 5, "m": 20.5}),
         ("histogram", {**BASE_CFG, "monte_carlo": {"num_steps": 40.5}}),
         ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": 2.5}}),
         ("verify", {**BASE_CFG, "verify": {"num_steps": 60.5}}),
@@ -254,16 +254,27 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         ("verify", {**BASE_CFG, "verify": {"num_step": 5}}),
         ("bounds", {"n": 100, "d": 5, "bounds": {"deltta": 0.3}}),
         ("bounds", {"n": 100, "d": 5, "deltta": 0.3}),
+        ("bounds", {"n": 100, "d": 5, "op_kind": "laplace"}),
+        ("bounds", {"n": 100, "d": 5, "init": "bogus"}),
+        ("bounds", {"n": 100, "d": 5, "seed": -1}),
+        ("bounds", {"d": 5}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"n": 200}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"d": 10}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"m": 30}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta_star": 0.99}}),
     ],
     ids=[
         "bounds_not_object", "d_not_below_n", "entrywise_m_above_n", "n_string",
         "trials_per_cell_string", "sweep_cell_d_not_below_n",
-        "cap_multiple_negative", "verify_num_steps_string", "histogram_missing_block",
+        "sweep_cap_multiple_key", "verify_num_steps_string", "histogram_missing_block",
         "bounds_n_not_integer", "bounds_m_not_integer", "histogram_num_steps_not_integer",
         "trials_per_cell_not_integer", "verify_num_steps_not_integer",
         "bounds_cs_divisor_zero", "bounds_cs_divisor_negative",
         "monte_carlo_unknown_key", "sweep_unknown_key", "verify_unknown_key",
         "bounds_unknown_key", "bounds_unknown_top_level_key",
+        "bounds_op_kind_unknown", "bounds_init_unknown", "bounds_seed_negative",
+        "bounds_n_missing", "bounds_block_n", "bounds_block_d", "bounds_block_m",
+        "bounds_block_zeta_star",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, payload):
@@ -309,8 +320,9 @@ def test_histogram_matches_monte_carlo_ratio(tmp_path):
     assert np.array_equal(rows, expected, equal_nan=True)
 
 
-def test_sweep_cap_multiple_caps_each_cell(tmp_path, monkeypatch):
-    # m = 3 < d = 4 is rank deficient: its cap uses the bound at m = d + 1.
+def test_sweep_caps_every_cell_at_max_iters(tmp_path, monkeypatch):
+    # The shipped undersampled sweep: m = d = 20 is rank deficient and gets
+    # the same cap as every other cell.
     caps = {}
 
     def fake_run_trial(config):
@@ -318,17 +330,10 @@ def test_sweep_cap_multiple_caps_each_cell(tmp_path, monkeypatch):
         return harness.TrialSeries(config, {}, False, None, 0.0, 0.0)
 
     monkeypatch.setattr(harness, "run_trial", fake_run_trial)
-    payload = {
-        **BASE_CFG, "op_kind": "entrywise", "m": 10,
-        "sweep": {"ms": [3, 10, 40], "trials_per_cell": 2, "cap_multiple": 2.5},
-    }
+    path = CONFIGS[0].parent / "undersampled_sweep.json"
     out = tmp_path / "out"
-    assert cli.main(["sweep", "--config", _write_cfg(tmp_path, payload), "--out", str(out)]) == 0
-    n, d, zeta_star = BASE_CFG["n"], BASE_CFG["d"], BASE_CFG["zeta_star"]
-    assert caps == {
-        m: {int(2.5 * theory.heuristic_iterations(n, max(m, d + 1), d, zeta_star)) + 1}
-        for m in (3, 10, 40)
-    }
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert caps == {m: {200_000} for m in (20, 100, 200, 400)}
     assert (out / "grid.csv").read_text(encoding="utf-8").splitlines()[1].endswith(",1")
 
 

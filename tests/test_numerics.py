@@ -108,22 +108,24 @@ def _rank_cases(rank_rtol):
             yield _with_singular_values(m, s, seed=100 * d + k), ratio <= rank_rtol
 
 
-def _least_squares(B, rank_rtol):
-    return numerics.least_squares(B, np.ones(B.shape[0]), rank_rtol=rank_rtol)
+def _least_squares(B):
+    return numerics.least_squares(B, np.ones(B.shape[0]))
 
 
 @pytest.mark.parametrize(
-    "solve, rank_rtol",
+    "solve, constant, rank_rtol",
     [
-        (_least_squares, 1e-10),
-        (_least_squares, 1e-4),
-        (numerics.orthonormalize, 1e-12),
+        (_least_squares, "RANK_RTOL", 1e-10),
+        (_least_squares, "RANK_RTOL", 1e-4),
+        (numerics.orthonormalize, "ORTHONORMALIZE_RTOL", 1e-12),
     ],
     ids=["least_squares", "least_squares_rtol_1e-4", "orthonormalize"],
 )
-def test_rank_decision_is_the_singular_value_test(solve, rank_rtol):
+def test_rank_decision_is_the_singular_value_test(monkeypatch, solve, constant, rank_rtol):
     # RankDeficient exactly when sigma_min <= rank_rtol * sigma_max, also
-    # where the ||R||_F ||R^-1||_F certificate cannot decide.
+    # where the ||R||_F ||R^-1||_F certificate cannot decide. The tolerance
+    # is a module constant, read at call time.
+    monkeypatch.setattr(numerics, constant, rank_rtol)
     rng = np.random.default_rng(6)
     cases = list(_rank_cases(rank_rtol))
     B = rng.standard_normal((12, 4))
@@ -135,6 +137,6 @@ def test_rank_decision_is_the_singular_value_test(solve, rank_rtol):
     for B, deficient in cases:
         if deficient:
             with pytest.raises(RankDeficient):
-                solve(B, rank_rtol=rank_rtol)
+                solve(B)
         else:
-            solve(B, rank_rtol=rank_rtol)
+            solve(B)
