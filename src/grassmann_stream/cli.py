@@ -114,6 +114,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """value if it is a finite real number; float() would read "0.25" and true."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _block(cfg: dict, name: str, required: bool = False) -> dict:
     block = cfg.get(name, None if required else {})
     if not isinstance(block, dict):
@@ -249,13 +257,13 @@ def _parse_bounds(cfg: dict, seed: int | None) -> dict:
     config = _trial_config(cfg, seed)
     n, d, zeta_star = config.n, config.d, config.zeta_star
     m = n if config.m is None else config.m
-    rho = float(bounds_cfg.get("rho", 0.1))
-    zeta = float(bounds_cfg.get("zeta", 0.5))
-    delta = float(bounds_cfg.get("delta", 0.25))
-    phi_d = float(bounds_cfg.get("phi_d", 0.1))
-    mu0 = float(bounds_cfg.get("mu0", 1.0))
-    mu_vperp = float(bounds_cfg.get("mu_vperp", 1.0))
-    kappa = float(bounds_cfg.get("kappa", 1.0 - zeta))
+    rho = _real("rho", bounds_cfg.get("rho", 0.1))
+    zeta = _real("zeta", bounds_cfg.get("zeta", 0.5))
+    delta = _real("delta", bounds_cfg.get("delta", 0.25))
+    phi_d = _real("phi_d", bounds_cfg.get("phi_d", 0.1))
+    mu0 = _real("mu0", bounds_cfg.get("mu0", 1.0))
+    mu_vperp = _real("mu_vperp", bounds_cfg.get("mu_vperp", 1.0))
+    kappa = _real("kappa", bounds_cfg.get("kappa", 1.0 - zeta))
     iteration = theory.iteration_bound_full(n, d, rho, zeta_star)
     rate_cs = theory.expected_rate_cs(zeta, d, m, n, delta, phi_d)
     rate_missing = theory.expected_rate_missing(zeta, d, m, n)

@@ -48,11 +48,13 @@ class StepStatus(enum.Enum):
 
 @dataclass
 class StepReport:
-    """Per-iteration diagnostics.
+    """Per-iteration diagnostics, with the B = A U the step solved against
+    and its lifted residual r = A^T (x - B w), None if it stopped before them.
 
-    When status is UPDATED, theta = arctan(norm_r / norm_p) and the basis
-    changed by a rank-one matrix, given by the update_* fields. Skipped
-    steps leave the basis untouched.
+    When status is UPDATED, theta = arctan(norm_r / norm_p) and the basis U
+    before the step gained outer(U @ update_span + (sin theta / norm_r) r,
+    update_coeffs); skipped steps leave it untouched. No step writes into B,
+    r or an array state.U returned.
     """
 
     status: StepStatus
@@ -63,29 +65,18 @@ class StepReport:
     theta: float = 0.0
     # One of REORTH_CAUSES when the step reorthonormalized.
     reorth_cause: str | None = None
-    # Rank-one factors of the applied update U += outer(direction,
-    # update_coeffs), exposed so callers can maintain derived products
-    # incrementally. A dense step gives the n-vector direction as
-    # update_dir. An entry-wise step gives direction = U @ update_span plus
-    # the sparse vector with values update_dir on update_rows (repeated rows
-    # add), where U is the basis before the step.
-    update_dir: np.ndarray | None = field(default=None, repr=False)
+    B: np.ndarray | None = field(default=None, repr=False)
+    r: np.ndarray | None = field(default=None, repr=False)
     update_coeffs: np.ndarray | None = field(default=None, repr=False)
     update_span: np.ndarray | None = field(default=None, repr=False)
-    update_rows: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def reorthonormalized(self) -> bool:
         return self.reorth_cause is not None
 
     def overlap_change(self, Ubar: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """Ubar^T direction, given M = Ubar^T U for the basis U before the step.
-
-        O(md + d^2) for an entry-wise step; no n-vector is formed.
-        """
-        if self.update_rows is None:
-            return Ubar.T @ self.update_dir
-        return M @ self.update_span + Ubar[self.update_rows].T @ self.update_dir
+        """Ubar^T direction, given M = Ubar^T U for the basis U before the step."""
+        return M @ self.update_span + np.sin(self.theta) / self.norm_r * (Ubar.T @ self.r)
 
 
 class GrouseState:
@@ -164,11 +155,11 @@ def step(
     try:
         w = numerics.least_squares(B, x)
     except RankDeficient:
-        return StepReport(status=StepStatus.SKIPPED_RANK_DEFICIENT)
+        return StepReport(status=StepStatus.SKIPPED_RANK_DEFICIENT, B=B)
 
     norm_w = float(np.linalg.norm(w))
     if norm_w <= DEGENERACY_RTOL * norm_x:
-        return StepReport(status=StepStatus.SKIPPED_ZERO_PROJECTION, w=w)
+        return StepReport(status=StepStatus.SKIPPED_ZERO_PROJECTION, w=w, B=B)
 
     r_tilde = x - B @ w
     r = sampling.adjoint(op, r_tilde)
@@ -176,40 +167,33 @@ def step(
     norm_r = float(np.linalg.norm(r))
     # ||p|| = ||U w|| = ||w|| since the columns of U are orthonormal.
     norm_p = norm_w
-
     if norm_r <= DEGENERACY_RTOL * norm_x:
         return StepReport(
-            status=StepStatus.SKIPPED_ZERO_RESIDUAL,
-            w=w,
-            norm_p=norm_p,
-            norm_r_tilde=norm_r_tilde,
-            norm_r=norm_r,
-            theta=0.0,
+            status=StepStatus.SKIPPED_ZERO_RESIDUAL, w=w, norm_p=norm_p,
+            norm_r_tilde=norm_r_tilde, norm_r=norm_r, B=B, r=r,
         )
 
     if theta is None:
         theta = float(np.arctan2(norm_r, norm_p))
     coeffs = w / norm_w
-    report = StepReport(
-        status=StepStatus.UPDATED,
-        w=w,
-        norm_p=norm_p,
-        norm_r_tilde=norm_r_tilde,
-        norm_r=norm_r,
-        theta=theta,
-        update_coeffs=coeffs,
-    )
     cos_theta = np.cos(theta)
+    b = np.sin(theta) / norm_r
+    report = StepReport(
+        status=StepStatus.UPDATED, w=w, norm_p=norm_p, norm_r_tilde=norm_r_tilde,
+        norm_r=norm_r, theta=theta, B=B, r=r, update_coeffs=coeffs,
+        update_span=(cos_theta - 1.0) / norm_p * w,
+    )
     # Only an entry-wise r is sparse; full and Gaussian steps stay dense.
     if isinstance(op, sampling.EntrywiseSampling) and cos_theta * COND_LIMIT > 1.0:
         # U' = U + (a U w + b r) c^T with c = w/||w||. As a w c^T =
         # (cos theta - 1) c c^T, K' = K (I - (1 - cos theta) c c^T) and
         # V' = V + b r c^T K'^-1, where c^T K'^-1 = c^T K^-1 / cos theta.
         if state.K is None:
+            # Rows are written into a copy: a V handed out stays intact.
+            state.V = state.V.copy()
             state.K, state.K_inv = np.eye(state.d), np.eye(state.d)
         c_K_inv = coeffs @ state.K_inv
         row = c_K_inv / cos_theta
-        b = np.sin(theta) / norm_r
         rows = op.indices
         # A repeated row gathers the same summed r twice and is written
         # twice with the same value.
@@ -217,17 +201,15 @@ def step(
         state.K -= np.einsum("i,j->ij", (1.0 - cos_theta) * (state.K @ coeffs), coeffs)
         state.K_inv += np.einsum("i,j->ij", coeffs, row - c_K_inv)
         state.cond_bound /= cos_theta
-        report.update_span = (cos_theta - 1.0) / norm_p * w
-        report.update_dir = b * r_tilde
-        report.update_rows = rows
     else:
         _fold(state)
         p = state.V @ w
-        direction = (cos_theta - 1.0) / norm_p * p + np.sin(theta) / norm_r * r
-        # The same products as np.outer, whose broadcast multiply is slow for
-        # a short second factor.
-        state.V += np.einsum("i,j->ij", direction, coeffs)
-        report.update_dir = direction
+        direction = (cos_theta - 1.0) / norm_p * p + b * r
+        # np.outer's products without its slow broadcast for a short factor;
+        # the old V is added into them, so a V handed out stays intact.
+        update = np.einsum("i,j->ij", direction, coeffs)
+        update += state.V
+        state.V = update
     state.steps_since_reorth += 1
 
     report.reorth_cause = _reorth_cause(state)

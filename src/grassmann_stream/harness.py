@@ -8,6 +8,8 @@ trial the observation stream is strictly sequential.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import numbers
 import time
@@ -122,15 +124,19 @@ class ImprovementHistogram:
     theory_step_mean: np.ndarray
 
 
+# A diagnosed step: v = v_par + v_perp against the basis U before it, w_par
+# for A v_par against the step's B (None without a w) and Delta against M
+# before the step (NaN also without an r, or when M is singular).
+Diagnosis = collections.namedtuple("Diagnosis", "U v_par v_perp w_par delta")
+
+
 class _Trial:
     """One seeded stream: its truth, its GROUSE state and M = Ubar^T U.
 
     step() runs grouse.step, advances M across the rank-one update and
     keeps its (sign, log|det M|) as update_det; a reorthonormalization,
     which may rotate the columns of U, then re-forms M. sign, logdet and
-    log_zeta are those of the current M. Diagnostics that query a lazy
-    Gaussian operator must do so between drawing a sample and step(), so
-    the step sees the entries it would have seen without them.
+    log_zeta are those of the current M.
     """
 
     def __init__(self, config: TrialConfig, index: int = 0):
@@ -152,40 +158,31 @@ class _Trial:
     def stream(self, spec: datagen.OpSpec, num_steps: int):
         return datagen.gen_stream(self.truth, spec, num_steps, self.rng)
 
-    def step(self, sample: datagen.StreamSample) -> grouse.StepReport:
+    def step(self, sample: datagen.StreamSample, diagnose: bool = False):
+        """grouse.step on sample; with diagnose, also sets self.diagnosis from
+        the step's B and r before M moves (v_par lies where A U revealed)."""
+        U = self.state.U if diagnose else None
+        Ubar = self.truth.Ubar
         report = grouse.step(self.state, sample.op, sample.x)
+        if diagnose:
+            v_par, v_perp = numerics.project(U, sample.v)
+            w_par, delta = None, np.nan
+            if report.w is not None:
+                x_par = sampling.apply(sample.op, v_par)
+                with contextlib.suppress(numerics.RankDeficient, theory.SingularOverlap):
+                    w_par, w_perp = theory.coefficient_split(report.B, sample.x, x_par)
+                    if report.r is not None:
+                        delta = theory.delta_term(self.M, Ubar, report.r, w_perp)
+            self.diagnosis = Diagnosis(U, v_par, v_perp, w_par, delta)
         if report.update_coeffs is not None:
-            change = report.overlap_change(self.truth.Ubar, self.M)
+            change = report.overlap_change(Ubar, self.M)
             self.M += np.outer(change, report.update_coeffs)
         self._track()
         self.update_det = (self.sign, self.logdet)
         if report.reorthonormalized:
-            self.M = self.truth.Ubar.T @ self.state.U
+            self.M = Ubar.T @ self.state.U
             self._track()
         return report
-
-    def diagnose(self, sample: datagen.StreamSample, U: np.ndarray) -> tuple:
-        """(B, v_par, v_perp, w_par, Delta) of the coming step from its basis U.
-
-        Each product is formed once: the restricted basis B = A U, the
-        split v = v_par + v_perp against span(U), x_par = A v_par, the
-        coefficient split of sample.x and the lifted residual r it leaves.
-        Delta is taken against the tracked M = Ubar^T U. w_par is None when
-        B is rank deficient; Delta is NaN then and when M is singular.
-        """
-        B = sampling.restrict_basis(sample.op, U)
-        v_par, v_perp = numerics.project(U, sample.v)
-        x_par = sampling.apply(sample.op, v_par)
-        try:
-            w_par, w_perp = theory.coefficient_split(B, sample.x, x_par)
-        except numerics.RankDeficient:
-            return B, v_par, v_perp, None, np.nan
-        r = sampling.adjoint(sample.op, sample.x - B @ (w_par + w_perp))
-        try:
-            delta = theory.delta_term(self.M, self.truth.Ubar, r, w_perp)
-        except theory.SingularOverlap:
-            delta = np.nan
-        return B, v_par, v_perp, w_par, delta
 
     def _track(self) -> None:
         """(sign, log|det M|) and log zeta of the current M, from one slogdet."""
@@ -208,10 +205,9 @@ def run_trial(config: TrialConfig) -> TrialSeries:
     reorth_causes = dict.fromkeys(grouse.REORTH_CAUSES, 0)
     zeta = float(np.exp(trial.log_zeta))
     for t, sample in enumerate(trial.stream(config.op_spec(), config.max_iters)):
-        delta = bound = np.nan
-        if full_diag:
-            delta = trial.diagnose(sample, trial.state.U)[-1]
-        report = trial.step(sample)
+        report = trial.step(sample, diagnose=full_diag)
+        delta = trial.diagnosis.delta if full_diag else np.nan
+        bound = np.nan
         step_counts[report.status] += 1
         if report.reorthonormalized:
             reorth_causes[report.reorth_cause] += 1
@@ -386,6 +382,7 @@ def sweep(
     base.max_iters steps; trials that reach it count toward fail_frac and
     are excluded from the ratio statistics. A cell with m <= d skips all
     or nearly all of its steps, so each of its trials runs the whole cap.
+    Cell c's trial t takes seed base.seed + c max(1000, trials_per_cell) + t.
     """
     cells = []
     for n, d, m in grid:
@@ -396,7 +393,7 @@ def sweep(
         ratios = []
         step_counts = {status.value: 0 for status in StepStatus}
         for trial in range(trials_per_cell):
-            seed = base.seed + 1000 * len(cells) + trial
+            seed = base.seed + max(1000, trials_per_cell) * len(cells) + trial
             series = run_trial(dataclasses.replace(cell, seed=seed))
             for name, count in series.step_counts.items():
                 step_counts[name] += count
@@ -450,16 +447,15 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         samples[name] += 1
 
     for sample in trial.stream(config.op_spec(), num_steps):
-        U_before = trial.state.U.copy()
         sign_before, logdet_before = trial.sign, trial.logdet
         cosines_before = metrics.overlap_cosines(trial.M)
         zeta_before = float(np.exp(trial.log_zeta))
 
-        B, v_par, v_perp, w_par, delta = trial.diagnose(sample, U_before)
+        report = trial.step(sample, diagnose=True)
+        U_before, v_par, v_perp, w_par, delta = trial.diagnosis
         norm_v = max(float(np.linalg.norm(sample.v)), 1e-300)
         norm_v_par = float(np.linalg.norm(v_par))
         norm_v_perp = float(np.linalg.norm(v_perp))
-        report = trial.step(sample)
 
         # Identities independent of the update outcome.
         frob = float(np.sum(1.0 - cosines_before**2))
@@ -492,10 +488,10 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         if report.status is not StepStatus.UPDATED:
             continue
 
-        r_tilde = sample.x - B @ report.w
+        r_tilde = sample.x - report.B @ report.w
         note(
             "residual_orthogonal_to_sampled_basis",
-            np.linalg.norm(B.T @ r_tilde) / max(np.linalg.norm(sample.x), 1e-300),
+            np.linalg.norm(report.B.T @ r_tilde) / max(np.linalg.norm(sample.x), 1e-300),
         )
 
         # The determinant across the rank-one update alone, before any

@@ -18,9 +18,9 @@ import numpy as np
 
 # A part of a query outside the revealed directions whose norm is at most
 # this fraction of the query's norm is rounding error, not a new direction
-# (v_par lies in span(U); a step's residual repeats the one diagnose
-# revealed). Revealing it would draw fresh random numbers for noise, and
-# the matrix would then depend on rounding.
+# (v_par lies in the span(U) a step's A U revealed). Revealing it would
+# draw fresh random numbers for noise, and the matrix would then depend on
+# rounding.
 DROP_RTOL = 1e-12
 
 # A Cholesky factor further than this from the identity (entrywise) means

@@ -250,10 +250,21 @@ def expected_rate_missing(zeta: float, d: int, m: int, n: int) -> RateBound:
     )
 
 
+def _check_mu0(mu0: float, d: int, n: int) -> None:
+    if not 1.0 <= mu0 <= n / d:
+        raise ValueError(f"mu0 must lie in [1, n/d] = [1, {n / d:g}], got {mu0}")
+
+
 def sample_complexity_missing(
     d: int, mu0: float, mu_vperp: float, n: int
 ) -> ComplexityBound:
-    """Observed entries per vector sufficient for the missing-data guarantee."""
+    """Observed entries per vector sufficient for the missing-data guarantee.
+
+    mu0 must lie in [1, n/d] and mu_vperp in [1, n], as their definitions do.
+    """
+    _check_mu0(mu0, d, n)
+    if not 1.0 <= mu_vperp <= n:
+        raise ValueError(f"mu_vperp must lie in [1, n] = [1, {n}], got {mu_vperp}")
     log_n = math.log(n)
     term1 = (128.0 * d * mu0 / 3.0) * math.log(math.sqrt(2.0 * d) * n)
     term2 = 64.0 * mu_vperp**2 * log_n
@@ -273,10 +284,12 @@ def discrepancy_decay_missing(
 ) -> float:
     """Expected next-step discrepancy bound with missing data.
 
-    kappa shrinks by the factor 1 - (1/4)(1 - d mu0 / 16n)(m / (n d)).
+    kappa shrinks by the factor 1 - (1/4)(1 - d mu0 / 16n)(m / (n d)), for
+    mu0 in [1, n/d].
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
+    _check_mu0(mu0, d, n)
     factor = 1.0 - 0.25 * (1.0 - d * mu0 / (16.0 * n)) * m / (n * d)
     return factor * kappa
 

@@ -262,6 +262,13 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         ("bounds", {"n": 100, "d": 5, "bounds": {"d": 10}}),
         ("bounds", {"n": 100, "d": 5, "bounds": {"m": 30}}),
         ("bounds", {"n": 100, "d": 5, "bounds": {"zeta_star": 0.99}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"mu0": -3}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"mu0": 0}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"mu0": 20.5}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"mu_vperp": 0}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"mu_vperp": 101}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": True}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": "0.25"}}),
     ],
     ids=[
         "bounds_not_object", "d_not_below_n", "entrywise_m_above_n", "n_string",
@@ -274,7 +281,9 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         "bounds_unknown_key", "bounds_unknown_top_level_key",
         "bounds_op_kind_unknown", "bounds_init_unknown", "bounds_seed_negative",
         "bounds_n_missing", "bounds_block_n", "bounds_block_d", "bounds_block_m",
-        "bounds_block_zeta_star",
+        "bounds_block_zeta_star", "bounds_mu0_negative", "bounds_mu0_zero",
+        "bounds_mu0_above_n_over_d", "bounds_mu_vperp_zero", "bounds_mu_vperp_above_n",
+        "bounds_zeta_bool", "bounds_zeta_string",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, payload):

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,35 @@ def test_entrywise_full_entrywise_matches_dense_reference():
         lambda sample: grouse.step(state, sample.op, sample.x), state.U.copy(), samples
     )
     assert max(float(np.abs(state.U - U_ref).max()) for _, U_ref in steps) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["full", "gaussian", "entrywise"])
+def test_held_arrays_stay_intact(kind):
+    # The harness diagnoses a step against the state.U it held before the
+    # step and reads the step's report.B: no later step may write into
+    # either. Every 50th entry-wise step takes a right angle, so the run
+    # starts a factored K, folds one into a dense update and
+    # reorthonormalizes.
+    rng = np.random.default_rng(23)
+    truth = datagen.gen_dense_truth(60, 4, rng)
+    state = grouse.init_random(60, 4, rng)
+    spec = datagen.OpSpec(kind, None if kind == "full" else 20)
+    held, events = [], Counter()
+    for t, sample in enumerate(datagen.gen_stream(truth, spec, 300, rng)):
+        pending = state.K is not None
+        U = state.U
+        theta = np.pi / 2 if kind == "entrywise" and t % 50 == 25 else None
+        report = grouse.step(state, sample.op, sample.x, theta=theta)
+        held += [(U, U.copy()), (report.B, report.B.copy())]
+        events["factored start"] += not pending and state.K is not None
+        updated = report.status is StepStatus.UPDATED
+        events["dense fold"] += pending and updated and theta is not None
+        events["dense update"] += updated and state.K is None
+        events["reorthonormalization"] += report.reorthonormalized
+    assert all(np.array_equal(array, copy) for array, copy in held)
+    assert events["dense update"] > 0 and events["reorthonormalization"] > 0
+    if kind == "entrywise":
+        assert events["factored start"] > 0 and events["dense fold"] > 0
 
 
 @pytest.mark.parametrize(

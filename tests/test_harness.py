@@ -456,17 +456,18 @@ def test_delta_columns_are_frozen(kind):
     ids=["far", "converging"],
 )
 def test_diagnostics_do_not_steer_a_gaussian_stream(base):
-    # Full diagnostics query each lazy Gaussian operator for v_par and a
-    # residual before the step does; the step must see the same matrix as
-    # without them.
+    # Full diagnostics query each lazy Gaussian operator for A v_par after
+    # the step; the step must see the same matrix, bit for bit, as without
+    # them.
     base = dict(base, op_kind="gaussian")
-    runs = [
+    none, basic, full = (
         harness.run_trial(harness.TrialConfig(**base, diagnostics_level=level))
         for level in ("none", "basic", "full")
-    ]
-    for series in runs[1:]:
-        assert series.iterations == runs[0].iterations
-        assert series.final_zeta == pytest.approx(runs[0].final_zeta, rel=1e-9, abs=0.0)
+    )
+    assert np.array_equal(full.records["zeta"], basic.records["zeta"])
+    for series in (basic, full):
+        assert series.iterations == none.iterations
+        assert series.final_zeta == none.final_zeta
 
 
 def test_perturbed_init_starts_near_truth():
@@ -632,6 +633,24 @@ def test_sweep_impossible_cell_fails():
     assert cell.wall_time_s > 0.0
 
 
+def test_sweep_seeds_stay_distinct_past_1000_trials_per_cell(monkeypatch):
+    # With a stride of 1000, cell 0's trial 1000 would take cell 1's first seed.
+    seeds = []
+
+    def fake_run_trial(config):
+        seeds.append(config.seed)
+        return harness.TrialSeries(config, {}, False, None, 0.0, 0.0)
+
+    monkeypatch.setattr(harness, "run_trial", fake_run_trial)
+    base = harness.TrialConfig(n=40, d=4, seed=5)
+    harness.sweep(base, [(40, 4, None), (40, 4, None)], trials_per_cell=1001)
+    assert len(seeds) == len(set(seeds)) == 2002
+    # Up to 1000 trials per cell, cells stay 1000 seeds apart.
+    seeds.clear()
+    harness.sweep(base, [(40, 4, None), (40, 4, None)], trials_per_cell=3)
+    assert seeds == [5, 6, 7, 1005, 1006, 1007]
+
+
 @pytest.mark.parametrize("kind", ["full", "gaussian", "entrywise"])
 def test_verify_passes_across_frequent_reorthonormalizations(monkeypatch, kind):
     # A reorthonormalization re-forms M and may flip the sign of det M; the
@@ -651,8 +670,8 @@ def test_verify_sees_a_flipped_sign_of_the_full_data_ratio(monkeypatch):
     # leaves the squared ratio intact; the signed ratio must catch it.
     real_step = harness._Trial.step
 
-    def late_det(self, sample):
-        report = real_step(self, sample)
+    def late_det(self, sample, diagnose=False):
+        report = real_step(self, sample, diagnose)
         self.update_det = (self.sign, self.logdet)
         return report
 
@@ -666,10 +685,11 @@ def test_verify_sees_a_flipped_sign_of_the_full_data_ratio(monkeypatch):
     assert result["max_violation"] == pytest.approx(2.0, abs=1e-6)
 
 
+ALL_KINDS = ["full", "gaussian", "entrywise"]
+
+
 def _drop_span_term(report, Ubar, M):
-    if report.update_rows is None:
-        return Ubar.T @ report.update_dir
-    return Ubar[report.update_rows].T @ report.update_dir
+    return np.sin(report.theta) / report.norm_r * (Ubar.T @ report.r)
 
 
 def _scale_change(report, Ubar, M, _real=grouse.StepReport.overlap_change):
@@ -677,35 +697,40 @@ def _scale_change(report, Ubar, M, _real=grouse.StepReport.overlap_change):
 
 
 @pytest.mark.parametrize(
-    "mutant, kinds",
-    [(_drop_span_term, ["entrywise"]), (_scale_change, ["gaussian", "entrywise"])],
-    ids=["drop-span-term", "scale-1e-6"],
+    "mutant", [_drop_span_term, _scale_change], ids=["drop-span-term", "scale-1e-6"]
 )
-def test_verify_catches_a_wrong_overlap_change(monkeypatch, mutant, kinds):
+def test_verify_catches_a_wrong_overlap_change(monkeypatch, mutant):
     # The tracked M feeds log zeta, the cosines and Delta: a wrong rank-one
-    # change of it must fail verify from a random start.
+    # change of it must fail verify from a random start, in every mode.
     monkeypatch.setattr(grouse.StepReport, "overlap_change", mutant)
-    for kind in kinds:
-        config = harness.TrialConfig(n=60, d=4, op_kind=kind, m=20, seed=23)
+    for kind in ALL_KINDS:
+        config = harness.TrialConfig(
+            n=60, d=4, op_kind=kind, m=None if kind == "full" else 20, seed=23
+        )
         assert not harness.verify_step_invariants(config, 250)["passed"], kind
 
 
 def test_verified_step_forms_each_product_once(monkeypatch):
-    # One verified entry-wise step: A U once for the diagnostics and once
-    # in the step, A v once in the stream and A v_par once, one projection,
+    # One verified step in each mode: A U and the lifted residual once, in
+    # the step, A v once in the stream and A v_par once, one projection,
     # one coefficient split and one Delta.
     calls = _count_calls(
         monkeypatch,
-        (sampling, "restrict_basis"), (sampling, "apply"), (numerics, "project"),
-        (theory, "coefficient_split"), (theory, "delta_term"),
+        (sampling, "restrict_basis"), (sampling, "adjoint"), (sampling, "apply"),
+        (numerics, "project"), (theory, "coefficient_split"), (theory, "delta_term"),
     )
-    config = harness.TrialConfig(n=60, d=4, op_kind="entrywise", m=20, seed=23)
-    report = harness.verify_step_invariants(config, 1)
-    assert report["identities"]["schur_determinant_identity"]["samples"] == 1
-    assert calls == {
-        "restrict_basis": 2, "apply": 2, "project": 1,
-        "coefficient_split": 1, "delta_term": 1,
-    }
+    for kind in ALL_KINDS:
+        calls.clear()
+        config = harness.TrialConfig(
+            n=60, d=4, op_kind=kind, m=None if kind == "full" else 20, seed=23
+        )
+        report = harness.verify_step_invariants(config, 1)
+        name = "full_data_exact_ratio" if kind == "full" else "schur_determinant_identity"
+        assert report["identities"][name]["samples"] == 1, kind
+        assert calls == {
+            "restrict_basis": 1, "adjoint": 1, "apply": 2, "project": 1,
+            "coefficient_split": 1, "delta_term": 1,
+        }, kind
 
 
 def test_verify_step_invariants_all_modes():

@@ -303,3 +303,21 @@ def test_gaussian_step_distribution_matches_dense_sketch(start):
                 - np.searchsorted(dense, both, side="right")).max() / draws
     # Critical value at significance 1e-3: sqrt(-log(5e-4) / 2) * sqrt(2 / draws).
     assert ks < np.sqrt(-np.log(5e-4) / 2) * np.sqrt(2.0 / draws)
+
+
+def test_consecutive_stream_sketches_are_uncorrelated():
+    # A stream draws a fresh sketch per vector. For a fixed orthonormal U
+    # the entries of sqrt(n) A_t U are then i.i.d. N(0, 1) and independent
+    # across t, so at each lag the sum of the products of matching entries,
+    # over the square root of their count, is a standard normal z. A sketch
+    # reused along the stream makes every product a square, z ~ 50 here.
+    rng = np.random.default_rng(31)
+    n, d, m, steps = 60, 4, 20, 33
+    truth = datagen.gen_dense_truth(n, d, rng)
+    U = grouse.init_random(n, d, rng).U
+    stream = datagen.gen_stream(truth, datagen.OpSpec("gaussian", m), steps, rng)
+    blocks = np.array([np.sqrt(n) * sampling.restrict_basis(s.op, U) for s in stream])
+    for lag in (1, 2, 3):
+        products = blocks[lag:] * blocks[:-lag]
+        z = products.sum() / np.sqrt(products.size)
+        assert abs(z) < 5.0, (lag, z)

@@ -144,6 +144,21 @@ def test_discrepancy_decay_missing_frozen():
         theory.discrepancy_decay_missing(1.5, 10, 500, 5000, 1.0)
 
 
+def test_missing_data_bounds_reject_impossible_incoherence():
+    # By definition mu0 lies in [1, n/d] and mu(v_perp) in [1, n].
+    n, d = 5000, 10
+    for mu0, mu_vperp in ((-3.0, 1.0), (0.0, 1.0), (0.99, 1.0), (500.5, 1.0),
+                          (1.0, 0.0), (1.0, 5000.5)):
+        with pytest.raises(ValueError):
+            theory.sample_complexity_missing(d, mu0, mu_vperp, n)
+    for mu0 in (-3.0, 0.0, 500.5):
+        with pytest.raises(ValueError):
+            theory.discrepancy_decay_missing(0.5, d, 500, n, mu0)
+    # The ends of both ranges are allowed.
+    assert theory.sample_complexity_missing(d, 500.0, 5000.0, n).value > 0.0
+    assert 0.0 < theory.discrepancy_decay_missing(0.5, d, 500, n, 500.0) < 0.5
+
+
 def test_expected_zeta0_frozen():
     assert theory.expected_zeta0(10, 1) == pytest.approx(
         1.0 / (10.0 * math.e), rel=1e-12
