@@ -259,6 +259,8 @@ def _parse_bounds(cfg: dict, seed: int | None) -> dict:
     m = n if config.m is None else config.m
     rho = _real("rho", bounds_cfg.get("rho", 0.1))
     zeta = _real("zeta", bounds_cfg.get("zeta", 0.5))
+    if not 0.0 <= zeta <= 1.0:
+        raise ConfigError(f"zeta is a similarity in [0, 1], got {zeta!r}")
     delta = _real("delta", bounds_cfg.get("delta", 0.25))
     phi_d = _real("phi_d", bounds_cfg.get("phi_d", 0.1))
     mu0 = _real("mu0", bounds_cfg.get("mu0", 1.0))

@@ -55,9 +55,13 @@ class GaussianSampling:
 
     A query of p columns costs O((n + m)(k + j) p + n p^2) plus m p (or
     n p) normal draws for its new directions, instead of the m n draws of
-    the dense matrix. A one-column query (A v, A^T r) takes no matrix
-    factorization, and an empty memo is not projected against; both
-    special cases give the general formula's bits.
+    the dense matrix. It makes one pass over the n x p block against the
+    memo (projection, Gram, solve) and a second only when one CholeskyQR
+    pass is not exact to rounding (see _new_directions); the answer comes
+    from the projection's coefficients and the triangular factor. A
+    one-column query (A v, A^T r) takes no matrix factorization, and an
+    empty memo is not projected against; both special cases give the
+    general formula's bits.
     """
 
     m: int
@@ -76,38 +80,40 @@ class GaussianSampling:
 
     def _times(self, W: np.ndarray) -> np.ndarray:
         """A W for an n x p block W."""
-        self.Q, self.G = _reveal(self.Q, self.G, self.Y, self.H, W, self.rng, self.n)
-        return self.G @ (self.Q.T @ W)
+        self.Q, self.G, AW = _reveal(self.Q, self.G, self.Y, self.H, W, self.rng, self.n)
+        return AW
 
     def _transpose_times(self, Z: np.ndarray) -> np.ndarray:
         """A^T Z for an m x p block Z."""
-        self.Y, self.H = _reveal(self.Y, self.H, self.Q, self.G, Z, self.rng, self.n)
-        return self.H @ (self.Y.T @ Z)
+        self.Y, self.H, ATZ = _reveal(self.Y, self.H, self.Q, self.G, Z, self.rng, self.n)
+        return ATZ
 
 
 def _reveal(basis, image, dual_basis, dual_image, W, rng, n):
-    """Extend a memo (basis, image = A basis) by the new directions of W.
+    """A W, with the memo (basis, image = A basis) extended by W's new directions.
 
     Serves A (basis Q, image G, dual Y, H) and A^T (basis Y, image H,
     dual Q, G) alike. For new orthonormal directions N outside the basis,
     the dual memo fixes dual_basis^T A N = dual_image^T N; the rest of A N
     is unseen, so it is P Z / sqrt(n) with Z standard normal and P the
-    projector onto the complement of dual_basis.
+    projector onto the complement of dual_basis. W = basis C + N R to
+    rounding, so A W = image C + (A N) R.
     """
-    new = _new_directions(basis, W)
+    new, C, R = _new_directions(basis, W)
+    answer = image @ C
     if new.shape[1] == 0:
-        return basis, image
+        return basis, image, answer
     # Drawn one column at a time, so a column dropped or kept at the
     # rounding threshold changes no other column's draws.
     Z = rng.standard_normal((new.shape[1], dual_basis.shape[0])).T / math.sqrt(n)
-    fresh = _project_out(dual_basis, Z)
-    if dual_basis.shape[1]:
-        fresh += dual_basis @ (dual_image.T @ new)
-    return np.hstack((basis, new)), np.hstack((image, fresh))
+    # P Z + dual_basis (dual_image^T new), in one pass over dual_basis.
+    fresh = _project_out(dual_basis, Z, dual_basis.T @ Z - dual_image.T @ new)
+    answer += fresh @ R
+    return np.hstack((basis, new)), np.hstack((image, fresh)), answer
 
 
-def _project_out(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """W - basis (basis^T W), as a new C-ordered array.
+def _project_out(basis: np.ndarray, W: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+    """W - basis coef, as a new C-ordered array; coef defaults to basis^T W.
 
     An empty basis gives a copy of W. A one-column basis forms its
     rank-one term as an outer product, one rounded product per entry as
@@ -116,7 +122,8 @@ def _project_out(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
     if basis.shape[1] == 0:
         return W.copy()
-    coef = basis.T @ W
+    if coef is None:
+        coef = basis.T @ W
     if basis.shape[1] == 1 and W.ndim == 2:
         out = np.einsum("i,j->ij", basis[:, 0], coef[0])
     else:
@@ -128,60 +135,99 @@ def _column_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", X, X))
 
 
-def _new_directions(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Orthonormal N, orthogonal to basis, with span(W) in span(basis, N).
+def _new_directions(basis: np.ndarray, W: np.ndarray):
+    """N, C and R with W = basis C + N R to rounding.
 
-    N is the Gram-Schmidt basis of the part of W outside the basis (the Q
-    of a QR factorization with positive diagonal), so it moves continuously
-    with W; singular vectors would rotate freely between near-equal
-    singular values. Parts at rounding level are dropped.
+    N (n x q) is orthonormal and orthogonal to the basis: the Gram-Schmidt
+    basis of the part X = W - basis C of W outside it, C = basis^T W (the
+    Q of a QR factorization with positive diagonal), so it moves
+    continuously with W; singular vectors would rotate freely between
+    near-equal singular values. Columns of W whose X is at rounding level
+    are dropped and get zero columns in R.
+
+    N is CholeskyQR's X L^-T for the Cholesky factor L of X^T X, and
+    R = L^T. One pass is exact to rounding when both hold: L lies within
+    _NEAR_IDENTITY of I, so X was orthonormal to about a tenth and N is
+    orthonormal to rounding; and each column kept at least half its
+    squared norm, |x|^2 >= |c|^2, the test of Daniel, Gragg, Kaufman &
+    Stewart (Math. Comp. 30, 1976) for one projection being enough, so
+    X's rounding error against the basis is not inflated. Otherwise a
+    second pass projects N again and refactors, as CholeskyQR2 does
+    (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, 2014), and its
+    coefficients fold into C and R.
     """
-    X = _project_out(basis, W)
-    tol = DROP_RTOL * _column_norms(W)
-    keep = _column_norms(X) > tol
-    if not keep.all():
-        X, tol = X[:, keep], tol[keep]
-    if X.shape[1] == 0:
-        return X
-    # CholeskyQR2 is cheap. Its second pass also re-orthogonalizes against
-    # the basis: X is orthogonal to it only to rounding times |W|, and
-    # dividing by a small R inflates that.
-    N = _cholesky_q(X, max_dev=np.inf)
-    if N is not None:
-        N = _cholesky_q(_project_out(basis, N), max_dev=_NEAR_IDENTITY)
-    if N is not None:
-        return N
-    # X is ill conditioned or rank deficient: one column at a time, each
-    # projected twice, dropping any column that is spanned to rounding.
-    out = basis
-    for x, col_tol in zip(X.T, tol):
-        x = _project_out(out, _project_out(out, x))
-        norm = np.linalg.norm(x)
-        if norm > col_tol:
-            out = np.column_stack((out, x / norm))
-    return out[:, basis.shape[1]:]
-
-
-def _cholesky_q(X: np.ndarray, max_dev: float) -> np.ndarray | None:
-    """X R^-1 for the Cholesky factor R of X^T X, i.e. the Q of X = Q R.
-
-    None when the Cholesky factorization fails or R is further than
-    max_dev from the identity. A single column takes no factorization:
-    it is scaled by 1 / sqrt(X^T X), the square root and reciprocal that
-    LAPACK's 1 x 1 factor and inverse compute, and each product is added
-    to +0.0 as the matmul adds it, so the bits are the same. As LAPACK
-    does, it fails on a Gram <= 0 and lets NaN and inf through.
-    """
+    C = basis.T @ W
+    X = _project_out(basis, W, C)
+    # X^T X serves the drop rule and the factorization.
     gram = X.T @ X
-    if X.shape[1] == 1:
-        L = None if gram[0, 0] <= 0.0 else np.sqrt(gram)
-    else:
-        try:
-            L = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            L = None
-    if L is None or np.abs(L - np.eye(L.shape[0])).max(initial=0.0) > max_dev:
+    tol = DROP_RTOL * _column_norms(W)
+    keep = np.sqrt(np.diagonal(gram)) > tol
+    if not keep.all():
+        X, tol, gram = X[:, keep], tol[keep], gram[np.ix_(keep, keep)]
+    if X.shape[1] == 0:
+        return X, C, np.zeros((0, W.shape[1]))
+    N = None
+    L = _cholesky(gram)
+    if L is not None:
+        N, R = _right_divide(X, L), L.T
+        kept_C = C[:, keep]
+        one_pass = _near_identity(L) and (
+            np.diagonal(gram) >= np.einsum("ij,ij->j", kept_C, kept_C)).all()
+        if not one_pass:
+            C2 = basis.T @ N
+            X2 = _project_out(basis, N, C2)
+            L2 = _cholesky(X2.T @ X2)
+            if L2 is not None and _near_identity(L2):
+                N = _right_divide(X2, L2)
+                C[:, keep] = kept_C + C2 @ R
+                R = L2.T @ R
+            else:
+                N = None
+    if N is None:
+        # X is ill conditioned or rank deficient: one column at a time,
+        # each projected twice, dropping any column that is spanned to
+        # rounding.
+        out = basis
+        for x, col_tol in zip(X.T, tol):
+            x = _project_out(out, _project_out(out, x))
+            norm = np.linalg.norm(x)
+            if norm > col_tol:
+                out = np.column_stack((out, x / norm))
+        N = out[:, basis.shape[1]:]
+        R = N.T @ X
+    if not keep.all():
+        R_kept, R = R, np.zeros((N.shape[1], W.shape[1]))
+        R[:, keep] = R_kept
+    return N, C, R
+
+
+def _cholesky(gram: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor L of gram, or None when it fails.
+
+    A 1 x 1 gram takes no factorization: L is its square root, as
+    LAPACK's 1 x 1 factor computes it. As LAPACK does, it fails on a
+    Gram <= 0 and lets NaN and inf through.
+    """
+    if gram.shape[0] == 1:
+        return None if gram[0, 0] <= 0.0 else np.sqrt(gram)
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
         return None
+
+
+def _near_identity(L: np.ndarray) -> bool:
+    """Whether the factor L is within _NEAR_IDENTITY of I entrywise."""
+    return not np.abs(L - np.eye(L.shape[0])).max(initial=0.0) > _NEAR_IDENTITY
+
+
+def _right_divide(X: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """X L^-T for a lower-triangular L, the Q of X = Q L^T.
+
+    A single column is scaled by 1 / L, the reciprocal LAPACK's 1 x 1
+    inverse computes, and each product is added to +0.0 as the matmul
+    adds it, so the bits are the same.
+    """
     if X.shape[1] == 1:
         return X * (1.0 / L) + 0.0
     return X @ np.linalg.inv(L.T)

@@ -269,6 +269,8 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         ("bounds", {"n": 100, "d": 5, "bounds": {"mu_vperp": 101}}),
         ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": True}}),
         ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": "0.25"}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": 1.5, "kappa": 0.5}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": -0.5, "kappa": 0.5}}),
     ],
     ids=[
         "bounds_not_object", "d_not_below_n", "entrywise_m_above_n", "n_string",
@@ -283,7 +285,8 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         "bounds_n_missing", "bounds_block_n", "bounds_block_d", "bounds_block_m",
         "bounds_block_zeta_star", "bounds_mu0_negative", "bounds_mu0_zero",
         "bounds_mu0_above_n_over_d", "bounds_mu_vperp_zero", "bounds_mu_vperp_above_n",
-        "bounds_zeta_bool", "bounds_zeta_string",
+        "bounds_zeta_bool", "bounds_zeta_string", "bounds_zeta_above_one",
+        "bounds_zeta_negative",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, payload):

@@ -184,13 +184,19 @@ def test_gaussian_restriction_is_continuous(offset):
 
 def test_gaussian_step_factors_only_the_basis_query(monkeypatch):
     # A step asks a fresh operator for A v, A U and A^T r. Only the
-    # d-column query takes CholeskyQR2's two factorizations and inverses;
-    # the one-column queries are normalized.
+    # d-column query takes a factorization and an inverse; the one-column
+    # queries are normalized. Far from span(U), U projected off v is
+    # orthonormal to rounding after one CholeskyQR pass. Within
+    # sin phi = 1e-3 of it, U loses most of one direction to v, and the
+    # second pass runs.
     rng = np.random.default_rng(10)
     n, m, d = 300, 40, 5
     U = np.linalg.qr(rng.standard_normal((n, d)))[0]
     v, r = rng.standard_normal(n), rng.standard_normal(m)
-    op = sampling.make_gaussian(m, n, rng)
+    outside = rng.standard_normal(n)
+    outside -= U @ (U.T @ outside)
+    inside = U @ rng.standard_normal(d)
+    near = inside / np.linalg.norm(inside) + 1e-3 * outside / np.linalg.norm(outside)
     calls = Counter()
     for name in ("cholesky", "inv"):
         def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -198,14 +204,47 @@ def test_gaussian_step_factors_only_the_basis_query(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    sampling.apply(op, v)
-    sampling.restrict_basis(op, U)
-    sampling.adjoint(op, r)
-    assert calls == {"cholesky": 2, "inv": 2}
+    for query, passes in ((v, 1), (near, 2)):
+        calls.clear()
+        op = sampling.make_gaussian(m, n, rng)
+        sampling.apply(op, query)
+        sampling.restrict_basis(op, U)
+        sampling.adjoint(op, r)
+        assert calls == {"cholesky": passes, "inv": passes}
+
+
+@pytest.mark.parametrize("case", ["random", "sin_1e-3", "sin_1e-6", "large_inside"])
+def test_gaussian_reveal_is_orthonormal_and_consistent(case):
+    # A step's two queries, A v then A U. Far from span(U) one CholeskyQR
+    # pass is exact to rounding. Near it, U projected off v is far from
+    # orthonormal; a query with a 1e6 component inside the memo keeps
+    # under half its norm after one projection. Both need the second pass.
+    rng = np.random.default_rng(14)
+    n, m, d = 2000, 200, 8
+    U = np.linalg.qr(rng.standard_normal((n, d)))[0]
+    outside = rng.standard_normal(n)
+    outside -= U @ (U.T @ outside)
+    outside /= np.linalg.norm(outside)
+    inside = U @ rng.standard_normal(d)
+    inside /= np.linalg.norm(inside)
+    v, W = rng.standard_normal(n), U
+    if case.startswith("sin_"):
+        sin = float(case[4:])
+        v = np.sqrt(1.0 - sin**2) * inside + sin * outside
+    elif case == "large_inside":
+        W = U + 1e6 * (v / np.linalg.norm(v))[:, None]
+    op = sampling.make_gaussian(m, n, rng)
+    answers = [(v, sampling.apply(op, v)), (W, sampling.restrict_basis(op, W))]
+    assert np.abs(op.Q.T @ op.Q - np.eye(op.Q.shape[1])).max() <= 1e-13
+    A = sampling.restrict_basis(op, np.eye(n))
+    for query, answer in answers:
+        expected = A @ query
+        scale = max(1.0, np.abs(expected).max())
+        assert np.abs(answer - expected).max() <= 1e-12 * scale
 
 
 def _factored_cholesky_q(X, max_dev):
-    """_cholesky_q through LAPACK's factorization and inverse at any width."""
+    """X L^-T through LAPACK's factorization and inverse at any width."""
     try:
         L = np.linalg.cholesky(X.T @ X)
     except np.linalg.LinAlgError:
@@ -231,7 +270,9 @@ def test_one_column_cholesky_q_matches_the_factorization(case, max_dev):
         assert 0.0 < (X.T @ X)[0, 0] < np.finfo(float).tiny
     with np.errstate(invalid="ignore"):
         expected = _factored_cholesky_q(X, max_dev)
-        got = sampling._cholesky_q(X, max_dev)
+        L = sampling._cholesky(X.T @ X)
+        far = L is None or np.abs(L - 1.0).max() > max_dev
+        got = None if far else sampling._right_divide(X, L)
     if expected is None:
         assert got is None
     else:
