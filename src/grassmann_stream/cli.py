@@ -53,18 +53,24 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _output(args, files: dict, payload, text: list[str]) -> None:
+    """Every command's output: files into --out, then payload as JSON on
+    stdout (--format json) or the lines of text. files maps a name to
+    (header, rows) for a .csv and to a JSON payload otherwise."""
+    for name, content in files.items():
+        with open(Path(args.out) / name, "w", encoding="utf-8", newline="\n") as fh:
+            if name.endswith(".csv"):
+                header, rows = content
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows([_fmt(v) for v in row] for row in rows)
+            else:
+                json.dump(_jsonable(content), fh, indent=2, allow_nan=False)
+                fh.write("\n")
+    if args.format == "json":
+        print(json.dumps(_jsonable(payload), allow_nan=False))
+    else:
+        print("\n".join(text))
 
 
 def _load_config(path: str) -> dict:
@@ -81,12 +87,18 @@ def _load_config(path: str) -> dict:
 
 
 _TRIAL_FIELDS = {f.name for f in dataclasses.fields(harness.TrialConfig)}
-# Block name -> the keys its command reads.
-_BLOCK_KEYS = {
-    "sweep": {"ns", "ds", "ms", "trials_per_cell"},
-    "monte_carlo": {"num_steps", "num_trials"},
-    "verify": {"num_steps"},
-    "bounds": {"rho", "zeta", "delta", "phi_d", "mu0", "mu_vperp", "kappa"},
+# Block -> its keys and their defaults. A given value must be an integer
+# >= 1 where the default is an integer, and a finite number where it is a
+# float. A key declared by a type instead has a default its command works
+# out: a sweep's axes come from the trial config, and kappa is 1 - zeta.
+_BLOCKS = {
+    "sweep": {"ns": list, "ds": list, "ms": list, "trials_per_cell": 10},
+    "monte_carlo": {"num_steps": 300, "num_trials": 50},
+    "verify": {"num_steps": 200},
+    "bounds": {
+        "rho": 0.1, "zeta": 0.5, "delta": 0.25, "phi_d": 0.1, "mu0": 1.0,
+        "mu_vperp": 1.0, "kappa": float,
+    },
 }
 
 
@@ -103,42 +115,37 @@ def _trial_config(cfg: dict, seed_override: int | None) -> harness.TrialConfig:
     return harness.TrialConfig(**kwargs)
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(_jsonable(payload), allow_nan=False))
-
-
-def _integer(name: str, value) -> int:
-    """value if it is an integer (not a bool); int() would truncate 50.7."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(name: str, value) -> float:
-    """value if it is a finite real number; float() would read "0.25" and true."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value)):
+def _checked(name: str, value, default):
+    """value, checked against its key's default (see _BLOCKS). int() would
+    truncate 50.7, and float() would read "0.25" and true."""
+    kind = default if isinstance(default, type) else type(default)
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind is int and not (number and isinstance(value, numbers.Integral) and value >= 1):
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if kind is float and not (number and math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return kind(value)
 
 
 def _block(cfg: dict, name: str, required: bool = False) -> dict:
+    """The block's given values, checked, over its declared defaults."""
     block = cfg.get(name, None if required else {})
     if not isinstance(block, dict):
         raise ConfigError(f"the config needs {name!r} to be an object")
-    _reject_unknown(block, _BLOCK_KEYS[name], repr(name))
-    return block
+    keys = _BLOCKS[name]
+    _reject_unknown(block, set(keys), repr(name))
+    values = {k: v for k, v in keys.items() if not isinstance(v, type)}
+    values.update((k, _checked(k, v, keys[k])) for k, v in block.items())
+    return values
 
 
 def _cmd_run(config: harness.TrialConfig, args) -> int:
     series = harness.run_trial(config)
-    out = Path(args.out)
     records = series.records  # empty at diagnostics level "none"
     rows = [
         [*(records[c][i] for c in harness.SERIES_COLUMNS[:-1]), harness.STATUS_NAMES[int(code)]]
         for i, code in enumerate(records.get("status", ()))
     ]
-    _write_csv(out / "series.csv", harness.SERIES_COLUMNS, rows)
     summary = {
         "config": dataclasses.asdict(config),
         "converged": series.converged,
@@ -150,14 +157,12 @@ def _cmd_run(config: harness.TrialConfig, args) -> int:
         "wall_time_s": series.wall_time,
         "metadata": series.metadata,
     }
-    _write_json(out / "summary.json", summary)
-    if args.format == "json":
-        _print_json(summary)
-    else:
-        print(
-            f"run: converged={series.converged} "
-            f"iterations={series.iterations} final_zeta={_fmt(series.final_zeta)}"
-        )
+    text = [
+        f"run: converged={series.converged} "
+        f"iterations={series.iterations} final_zeta={_fmt(series.final_zeta)}"
+    ]
+    files = {"series.csv": (harness.SERIES_COLUMNS, rows), "summary.json": summary}
+    _output(args, files, summary, text)
     return EXIT_OK
 
 
@@ -167,48 +172,30 @@ def _parse_sweep(cfg: dict, seed: int | None):
     ns = sweep_cfg.get("ns", [base.n])
     ds = sweep_cfg.get("ds", [base.d])
     ms = sweep_cfg.get("ms", [base.m])
-    trials = _integer("trials_per_cell", sweep_cfg.get("trials_per_cell", 10))
     grid = [(n, d, m) for n in ns for d in ds for m in ms]
-    if not grid or trials < 1:
-        raise ConfigError("sweep grid must be non-empty with trials_per_cell >= 1")
+    if not grid:
+        raise ConfigError("sweep grid must be non-empty")
     for n, d, m in grid:
         # Builds each cell once, so a bad cell fails before any runs.
         dataclasses.replace(base, n=n, d=d, m=m)
-    return base, sweep_cfg, grid, trials
+    # summary.json echoes the block as given, without its defaults.
+    return base, cfg["sweep"], grid, sweep_cfg["trials_per_cell"]
 
 
 def _cmd_sweep(plan, args) -> int:
     base, sweep_cfg, grid, trials = plan
-    cells = harness.sweep(base, grid, trials)
-    out = Path(args.out)
+    cells = [dataclasses.asdict(c) for c in harness.sweep(base, grid, trials)]
     header = ("n", "d", "m", "mean_ratio", "var_ratio", "fail_frac")
-    rows = [
-        (c.n, c.d, "" if c.m is None else c.m, c.mean_ratio, c.var_ratio, c.fail_frac)
-        for c in cells
-    ]
-    _write_csv(out / "grid.csv", header, rows)
-    _write_json(
-        out / "summary.json",
-        {
-            "config": dataclasses.asdict(base),
-            "sweep": sweep_cfg,
-            "cells": [dataclasses.asdict(c) for c in cells],
-        },
-    )
-    if args.format == "json":
-        _print_json([dataclasses.asdict(c) for c in cells])
-    else:
-        print(f"sweep: {len(cells)} cells written to grid.csv")
+    rows = [["" if c[k] is None else c[k] for k in header] for c in cells]
+    summary = {"config": dataclasses.asdict(base), "sweep": sweep_cfg, "cells": cells}
+    files = {"grid.csv": (header, rows), "summary.json": summary}
+    _output(args, files, cells, [f"sweep: {len(cells)} cells written to grid.csv"])
     return EXIT_OK
 
 
 def _parse_histogram(cfg: dict, seed: int | None):
     mc_cfg = _block(cfg, "monte_carlo", required=True)
-    num_steps = _integer("num_steps", mc_cfg.get("num_steps", 300))
-    num_trials = _integer("num_trials", mc_cfg.get("num_trials", 50))
-    if num_steps < 1 or num_trials < 1:
-        raise ConfigError("num_steps and num_trials must be >= 1")
-    return _trial_config(cfg, seed), num_steps, num_trials
+    return _trial_config(cfg, seed), mc_cfg["num_steps"], mc_cfg["num_trials"]
 
 
 def _cmd_histogram(plan, args) -> int:
@@ -218,17 +205,15 @@ def _cmd_histogram(plan, args) -> int:
     columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.mean_ratio,
                hist.std_err, hist.mean_zeta, hist.theory)
     rows = list(zip(*columns))
-    _write_csv(Path(args.out) / "histogram.csv", header, rows)
-    if args.format == "json":
-        _print_json([dict(zip(header, row)) for row in rows])
-    else:
-        print(f"histogram: {len(rows)} bins written to histogram.csv")
+    _output(
+        args, {"histogram.csv": (header, rows)}, [dict(zip(header, row)) for row in rows],
+        [f"histogram: {len(rows)} bins written to histogram.csv"],
+    )
     return EXIT_OK
 
 
 def _parse_verify(cfg: dict, seed: int | None):
-    verify_cfg = _block(cfg, "verify")
-    return _trial_config(cfg, seed), _integer("num_steps", verify_cfg.get("num_steps", 200))
+    return _trial_config(cfg, seed), _block(cfg, "verify")["num_steps"]
 
 
 def _cmd_verify(plan, args) -> int:
@@ -236,17 +221,12 @@ def _cmd_verify(plan, args) -> int:
     report = harness.verify_step_invariants(config, num_steps)
     report["config"] = dataclasses.asdict(config)
     report["num_steps"] = num_steps
-    out = Path(args.out)
-    _write_json(out / "verify.json", report)
-    if args.format == "json":
-        _print_json(report)
-    else:
-        for name, res in report["identities"].items():
-            print(
-                f"{name}: max_violation={_fmt(res['max_violation'])} "
-                f"tol={_fmt(res['tolerance'])} "
-                f"{'ok' if res['passed'] else 'VIOLATED'}"
-            )
+    text = [
+        f"{name}: max_violation={_fmt(res['max_violation'])} "
+        f"tol={_fmt(res['tolerance'])} {'ok' if res['passed'] else 'VIOLATED'}"
+        for name, res in report["identities"].items()
+    ]
+    _output(args, {"verify.json": report}, report, text)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
@@ -257,15 +237,12 @@ def _parse_bounds(cfg: dict, seed: int | None) -> dict:
     config = _trial_config(cfg, seed)
     n, d, zeta_star = config.n, config.d, config.zeta_star
     m = n if config.m is None else config.m
-    rho = _real("rho", bounds_cfg.get("rho", 0.1))
-    zeta = _real("zeta", bounds_cfg.get("zeta", 0.5))
+    rho, zeta, delta, phi_d, mu0, mu_vperp = (
+        bounds_cfg[k] for k in ("rho", "zeta", "delta", "phi_d", "mu0", "mu_vperp")
+    )
     if not 0.0 <= zeta <= 1.0:
         raise ConfigError(f"zeta is a similarity in [0, 1], got {zeta!r}")
-    delta = _real("delta", bounds_cfg.get("delta", 0.25))
-    phi_d = _real("phi_d", bounds_cfg.get("phi_d", 0.1))
-    mu0 = _real("mu0", bounds_cfg.get("mu0", 1.0))
-    mu_vperp = _real("mu_vperp", bounds_cfg.get("mu_vperp", 1.0))
-    kappa = _real("kappa", bounds_cfg.get("kappa", 1.0 - zeta))
+    kappa = bounds_cfg.get("kappa", 1.0 - zeta)
     iteration = theory.iteration_bound_full(n, d, rho, zeta_star)
     rate_cs = theory.expected_rate_cs(zeta, d, m, n, delta, phi_d)
     rate_missing = theory.expected_rate_missing(zeta, d, m, n)
@@ -303,17 +280,12 @@ def _parse_bounds(cfg: dict, seed: int | None) -> dict:
 
 
 def _cmd_bounds(payload: dict, args) -> int:
-    out = Path(args.out)
-    _write_json(out / "bounds.json", payload)
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        for key, value in payload.items():
-            if isinstance(value, dict):
-                inner = " ".join(f"{k}={_fmt(v)}" for k, v in value.items())
-                print(f"{key}: {inner}")
-            else:
-                print(f"{key}: {_fmt(value)}")
+    text = [
+        f"{key}: " + " ".join(f"{k}={_fmt(v)}" for k, v in value.items())
+        if isinstance(value, dict) else f"{key}: {_fmt(value)}"
+        for key, value in payload.items()
+    ]
+    _output(args, {"bounds.json": payload}, payload, text)
     return EXIT_OK
 
 
@@ -335,7 +307,7 @@ def parse_config(command: str, cfg: dict, seed: int | None = None):
     ValueError raised while parsing is re-raised as ConfigError (exit 2).
     """
     try:
-        _reject_unknown(cfg, _TRIAL_FIELDS | set(_BLOCK_KEYS), "config")
+        _reject_unknown(cfg, _TRIAL_FIELDS | set(_BLOCKS), "config")
         return _COMMANDS[command][0](cfg, seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

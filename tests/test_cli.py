@@ -271,6 +271,11 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": "0.25"}}),
         ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": 1.5, "kappa": 0.5}}),
         ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": -0.5, "kappa": 0.5}}),
+        ("verify", {**BASE_CFG, "verify": {"num_steps": 0}}),
+        ("verify", {**BASE_CFG, "verify": {"num_steps": -5}}),
+        ("histogram", {**BASE_CFG, "monte_carlo": {"num_trials": 0}}),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": 0}}),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"rho": float("nan")}}),
     ],
     ids=[
         "bounds_not_object", "d_not_below_n", "entrywise_m_above_n", "n_string",
@@ -286,7 +291,8 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         "bounds_block_zeta_star", "bounds_mu0_negative", "bounds_mu0_zero",
         "bounds_mu0_above_n_over_d", "bounds_mu_vperp_zero", "bounds_mu_vperp_above_n",
         "bounds_zeta_bool", "bounds_zeta_string", "bounds_zeta_above_one",
-        "bounds_zeta_negative",
+        "bounds_zeta_negative", "verify_num_steps_zero", "verify_num_steps_negative",
+        "histogram_num_trials_zero", "trials_per_cell_zero", "bounds_rho_nan",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, payload):
