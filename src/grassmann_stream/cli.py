@@ -222,8 +222,9 @@ def _cmd_verify(plan, args) -> int:
     report["config"] = dataclasses.asdict(config)
     report["num_steps"] = num_steps
     text = [
-        f"{name}: max_violation={_fmt(res['max_violation'])} "
-        f"tol={_fmt(res['tolerance'])} {'ok' if res['passed'] else 'VIOLATED'}"
+        f"{name}: max_violation={_fmt(res['max_violation'])} tol={_fmt(res['tolerance'])} "
+        + ("VIOLATED" if not res["passed"] else "NO SAMPLES" if name in report["unsampled"]
+           else "ok")
         for name, res in report["identities"].items()
     ]
     _output(args, {"verify.json": report}, report, text)

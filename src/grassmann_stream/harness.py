@@ -432,8 +432,10 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
     """Check every deterministic per-step identity along one stream.
 
     Returns {"passed": bool, "identities": {name: {max_violation,
-    tolerance, passed, samples}}}. Identities that do not apply to the
-    configured sampling mode report zero samples.
+    tolerance, passed, samples}}, "unsampled": [name, ...]}. Identities
+    that do not apply to the configured sampling mode report zero samples.
+    One that applies and has none is listed in "unsampled" and fails the
+    stream: a stream whose steps never reach an identity has not checked it.
     """
     trial = _Trial(config)
     Ubar = trial.truth.Ubar
@@ -524,8 +526,14 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         }
         for name, tol in INVARIANT_TOLERANCES.items()
     }
+    if config.op_kind == "full":
+        not_applicable = {"schur_determinant_identity", "undersampled_lower_bound"}
+    else:
+        not_applicable = {"full_data_exact_ratio"}
+    unsampled = [k for k in identities if k not in not_applicable and samples[k] == 0]
     return {
-        "passed": all(v["passed"] for v in identities.values()),
+        "passed": all(v["passed"] for v in identities.values()) and not unsampled,
         "identities": identities,
+        "unsampled": unsampled,
     }
 

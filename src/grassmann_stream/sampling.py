@@ -23,9 +23,9 @@ import numpy as np
 # rounding.
 DROP_RTOL = 1e-12
 
-# A Cholesky factor further than this from the identity (entrywise) means
-# its input was not close to orthonormal, so one CholeskyQR pass is not
-# accurate to rounding.
+# A Cholesky factor with rows scaled to unit norm further than this from
+# the identity (entrywise) means its input's columns were not close to
+# orthogonal, so one CholeskyQR pass is not accurate to rounding.
 _NEAR_IDENTITY = 0.1
 
 
@@ -146,9 +146,11 @@ def _new_directions(basis: np.ndarray, W: np.ndarray):
     are dropped and get zero columns in R.
 
     N is CholeskyQR's X L^-T for the Cholesky factor L of X^T X, and
-    R = L^T. One pass is exact to rounding when both hold: L lies within
-    _NEAR_IDENTITY of I, so X was orthonormal to about a tenth and N is
-    orthonormal to rounding; and each column kept at least half its
+    R = L^T. One pass is exact to rounding when both hold: D^-1 L lies
+    within _NEAR_IDENTITY of I, for D = diag(X^T X)^1/2, so X's columns
+    were orthogonal to about a tenth and N is orthonormal to rounding (a
+    column scaling changes neither the rounding of the factorization nor
+    of the division, and a single column always passes); and each column kept at least half its
     squared norm, |x|^2 >= |c|^2, the test of Daniel, Gragg, Kaufman &
     Stewart (Math. Comp. 30, 1976) for one projection being enough, so
     X's rounding error against the basis is not inflated. Otherwise a
@@ -171,13 +173,14 @@ def _new_directions(basis: np.ndarray, W: np.ndarray):
     if L is not None:
         N, R = _right_divide(X, L), L.T
         kept_C = C[:, keep]
-        one_pass = _near_identity(L) and (
+        one_pass = _near_identity(L, gram) and (
             np.diagonal(gram) >= np.einsum("ij,ij->j", kept_C, kept_C)).all()
         if not one_pass:
             C2 = basis.T @ N
             X2 = _project_out(basis, N, C2)
-            L2 = _cholesky(X2.T @ X2)
-            if L2 is not None and _near_identity(L2):
+            gram2 = X2.T @ X2
+            L2 = _cholesky(gram2)
+            if L2 is not None and _near_identity(L2, gram2):
                 N = _right_divide(X2, L2)
                 C[:, keep] = kept_C + C2 @ R
                 R = L2.T @ R
@@ -216,9 +219,12 @@ def _cholesky(gram: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _near_identity(L: np.ndarray) -> bool:
-    """Whether the factor L is within _NEAR_IDENTITY of I entrywise."""
-    return not np.abs(L - np.eye(L.shape[0])).max(initial=0.0) > _NEAR_IDENTITY
+def _near_identity(L: np.ndarray, gram: np.ndarray) -> bool:
+    """Whether D^-1 L is within _NEAR_IDENTITY of I entrywise, for the
+    Cholesky factor L of gram and D = diag(gram)^1/2: the rows of D^-1 L
+    are unit vectors, whatever the scale of the columns."""
+    scaled = L / np.sqrt(np.diagonal(gram))[:, None]
+    return not np.abs(scaled - np.eye(L.shape[0])).max(initial=0.0) > _NEAR_IDENTITY
 
 
 def _right_divide(X: np.ndarray, L: np.ndarray) -> np.ndarray:

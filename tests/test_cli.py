@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 from grassmann_stream import cli, grouse, harness
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -142,6 +144,21 @@ def test_verify_passes_and_writes_report(tmp_path):
     assert report["config"]["diagnostics_level"] == "none"
     for res in report["identities"].values():
         assert set(res) >= {"max_violation", "tolerance", "passed", "samples"}
+
+
+def test_verify_fails_when_an_identity_has_no_samples(tmp_path, capsys):
+    # m < d: every step is rank deficient and none updates, so four of the
+    # identities that apply to entry-wise sampling are never checked.
+    payload = {**BASE_CFG, "op_kind": "entrywise", "m": 2, "verify": {"num_steps": 20}}
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", _write_cfg(tmp_path, payload), "--out", str(out)]) == 1
+    report = json.loads((out / "verify.json").read_text(encoding="utf-8"))
+    assert report["passed"] is False
+    assert report["unsampled"] == [
+        "residual_orthogonal_to_sampled_basis", "schur_determinant_identity",
+        "undersampled_lower_bound", "projection_matches_truth_component",
+    ]
+    assert capsys.readouterr().out.count("NO SAMPLES") == 4
 
 
 def test_verify_fault_injection_exits_1(tmp_path, monkeypatch):
@@ -303,7 +320,7 @@ def test_config_errors_exit_2(tmp_path, capsys, command, payload):
 
 def test_module_entry_point_runs_without_warning(tmp_path):
     # README's form for a checkout that is not installed.
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     cfg = _write_cfg(tmp_path, {"n": 100, "d": 5})
     proc = subprocess.run(
@@ -368,3 +385,14 @@ def test_shipped_configs_present():
     assert [p.stem for p in CONFIGS] == [
         "convergence_scaling", "improvement_histogram", "undersampled_sweep"
     ]
+
+
+def test_readme_states_the_block_defaults():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (.+) \|$", readme, re.MULTILINE)
+    stated = {(block, key): default for block, key, default in rows}
+    assert set(stated) == {(block, key) for block, keys in cli._BLOCKS.items() for key in keys}
+    for block, keys in cli._BLOCKS.items():
+        for key, default in keys.items():
+            if not isinstance(default, type):
+                assert stated[block, key] == repr(default), (block, key)

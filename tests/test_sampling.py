@@ -213,6 +213,27 @@ def test_gaussian_step_factors_only_the_basis_query(monkeypatch):
         assert calls == {"cholesky": passes, "inv": passes}
 
 
+@pytest.mark.parametrize("query", ["apply", "adjoint"])
+def test_one_column_query_of_a_fresh_operator_takes_one_pass(query, monkeypatch):
+    # Normalizing one vector against an empty memo is exact to rounding in
+    # one CholeskyQR pass, whatever the vector's norm.
+    rng = np.random.default_rng(11)
+    n, m = 300, 40
+    calls = []
+    real = sampling._cholesky
+
+    def counting(gram):
+        calls.append(gram.shape)
+        return real(gram)
+
+    monkeypatch.setattr(sampling, "_cholesky", counting)
+    op = sampling.make_gaussian(m, n, rng)
+    size = n if query == "apply" else m
+    x = rng.standard_normal(size)
+    getattr(sampling, query)(op, 3.0 * x / np.linalg.norm(x))
+    assert calls == [(1, 1)]
+
+
 @pytest.mark.parametrize("case", ["random", "sin_1e-3", "sin_1e-6", "large_inside"])
 def test_gaussian_reveal_is_orthonormal_and_consistent(case):
     # A step's two queries, A v then A U. Far from span(U) one CholeskyQR
@@ -236,7 +257,8 @@ def test_gaussian_reveal_is_orthonormal_and_consistent(case):
     op = sampling.make_gaussian(m, n, rng)
     answers = [(v, sampling.apply(op, v)), (W, sampling.restrict_basis(op, W))]
     assert np.abs(op.Q.T @ op.Q - np.eye(op.Q.shape[1])).max() <= 1e-13
-    A = sampling.restrict_basis(op, np.eye(n))
+    # Row i of A is A^T e_i.
+    A = np.array([sampling.adjoint(op, e) for e in np.eye(m)])
     for query, answer in answers:
         expected = A @ query
         scale = max(1.0, np.abs(expected).max())
