@@ -221,10 +221,10 @@ def _cmd_verify(plan, args) -> int:
     report = harness.verify_step_invariants(config, num_steps)
     report["config"] = dataclasses.asdict(config)
     report["num_steps"] = num_steps
+    unsampled = report["unsampled"]
     text = [
         f"{name}: max_violation={_fmt(res['max_violation'])} tol={_fmt(res['tolerance'])} "
-        + ("VIOLATED" if not res["passed"] else "NO SAMPLES" if name in report["unsampled"]
-           else "ok")
+        f"{'VIOLATED' if not res['passed'] else 'UNSAMPLED' if name in unsampled else 'ok'}"
         for name, res in report["identities"].items()
     ]
     _output(args, {"verify.json": report}, report, text)

@@ -150,13 +150,13 @@ def _new_directions(basis: np.ndarray, W: np.ndarray):
     within _NEAR_IDENTITY of I, for D = diag(X^T X)^1/2, so X's columns
     were orthogonal to about a tenth and N is orthonormal to rounding (a
     column scaling changes neither the rounding of the factorization nor
-    of the division, and a single column always passes); and each column kept at least half its
-    squared norm, |x|^2 >= |c|^2, the test of Daniel, Gragg, Kaufman &
-    Stewart (Math. Comp. 30, 1976) for one projection being enough, so
-    X's rounding error against the basis is not inflated. Otherwise a
-    second pass projects N again and refactors, as CholeskyQR2 does
-    (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, 2014), and its
-    coefficients fold into C and R.
+    that of the division, and a single column always passes); and each
+    column kept at least half its squared norm, |x|^2 >= |c|^2, the test
+    of Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30, 1976) for one
+    projection being enough, so X's rounding error against the basis is
+    not inflated. Otherwise a second pass projects N again and refactors,
+    as CholeskyQR2 does (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto,
+    2014), and its coefficients fold into C and R.
     """
     C = basis.T @ W
     X = _project_out(basis, W, C)

@@ -158,7 +158,7 @@ def test_verify_fails_when_an_identity_has_no_samples(tmp_path, capsys):
         "residual_orthogonal_to_sampled_basis", "schur_determinant_identity",
         "undersampled_lower_bound", "projection_matches_truth_component",
     ]
-    assert capsys.readouterr().out.count("NO SAMPLES") == 4
+    assert capsys.readouterr().out.count("UNSAMPLED") == 4
 
 
 def test_verify_fault_injection_exits_1(tmp_path, monkeypatch):
