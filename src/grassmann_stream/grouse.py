@@ -21,15 +21,11 @@ from .numerics import RankDeficient
 # Residual / projection magnitudes at or below this fraction of ||x||
 # make the update direction numerically meaningless.
 DEGENERACY_RTOL = 1e-12
-# The basis is reorthonormalized every REORTH_EVERY steps. Every
-# DRIFT_CHECK_EVERY steps since the last reorthonormalization, a drift
-# ||U^T U - I||_F above DRIFT_LIMIT triggers one early.
+# Why a step reorthonormalizes, which bounds the rounding drift of U: its
+# cadence of REORTH_EVERY steps came due, or the pending factor K grew too
+# ill conditioned (see COND_LIMIT).
 REORTH_EVERY = 100
-DRIFT_LIMIT = 1e-9
-DRIFT_CHECK_EVERY = 25
-# Why a step reorthonormalizes: its cadence came due, a drift check failed,
-# or the pending factor K grew too ill conditioned (see COND_LIMIT).
-REORTH_CAUSES = ("cadence", "drift", "conditioning")
+REORTH_CAUSES = ("cadence", "conditioning")
 # An entry-wise step multiplies the pending factor K of U = V K by
 # I - (1 - cos theta) c c^T, so prod 1/cos(theta) over the steps since K
 # was last folded bounds cond(K). Past COND_LIMIT a step reorthonormalizes;
@@ -74,9 +70,9 @@ class StepReport:
     def reorthonormalized(self) -> bool:
         return self.reorth_cause is not None
 
-    def overlap_change(self, Ubar: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """Ubar^T direction, given M = Ubar^T U for the basis U before the step."""
-        return M @ self.update_span + np.sin(self.theta) / self.norm_r * (Ubar.T @ self.r)
+    def overlap_change(self, M: np.ndarray, Ubar_r: np.ndarray) -> np.ndarray:
+        """Ubar^T direction, from M = Ubar^T U before the step and Ubar_r = Ubar^T r."""
+        return M @ self.update_span + np.sin(self.theta) / self.norm_r * Ubar_r
 
 
 class GrouseState:
@@ -88,10 +84,14 @@ class GrouseState:
     Linear Algebra Appl. 415, 2006). Any other update, and every
     reorthonormalization, first folds K into V.
 
+    U must be an orthonormal basis (see numerics); ValueError otherwise.
     Single-writer: one logical stream mutates a state sequentially.
     """
 
     def __init__(self, U: np.ndarray):
+        drift = numerics.orthonormality_drift(U)
+        if not drift <= numerics.ORTHONORMAL_TOL:
+            raise ValueError(f"U is not an orthonormal basis: ||U^T U - I||_F = {drift:.3g}")
         self.V = U
         self.K: np.ndarray | None = None
         self.K_inv: np.ndarray | None = None
@@ -223,11 +223,6 @@ def _reorth_cause(state: GrouseState) -> str | None:
         return "cadence"
     if state.cond_bound > COND_LIMIT:
         return "conditioning"
-    if (
-        state.steps_since_reorth % DRIFT_CHECK_EVERY == 0
-        and numerics.orthonormality_drift(state.U) > DRIFT_LIMIT
-    ):
-        return "drift"
     return None
 
 

@@ -100,7 +100,7 @@ class TrialSeries:
     # Steps per StepStatus value, counted at every diagnostics level.
     step_counts: dict[str, int] = field(default_factory=dict)
     reorthonormalizations: int = 0
-    # The same, per cause: "cadence", "drift" or "conditioning".
+    # The same, per cause: "cadence" or "conditioning".
     reorth_causes: dict[str, int] = field(default_factory=dict)
 
 
@@ -164,6 +164,9 @@ class _Trial:
         U = self.state.U if diagnose else None
         Ubar = self.truth.Ubar
         report = grouse.step(self.state, sample.op, sample.x)
+        # Ubar^T r, formed once for Delta and the update of M.
+        wanted = report.r is not None and (diagnose or report.update_coeffs is not None)
+        Ubar_r = Ubar.T @ report.r if wanted else None
         if diagnose:
             v_par, v_perp = numerics.project(U, sample.v)
             w_par, delta = None, np.nan
@@ -172,10 +175,10 @@ class _Trial:
                 with contextlib.suppress(numerics.RankDeficient, theory.SingularOverlap):
                     w_par, w_perp = theory.coefficient_split(report.B, sample.x, x_par)
                     if report.r is not None:
-                        delta = theory.delta_term(self.M, Ubar, report.r, w_perp)
+                        delta = theory.delta_term(self.M, Ubar_r, w_perp)
             self.diagnosis = Diagnosis(U, v_par, v_perp, w_par, delta)
         if report.update_coeffs is not None:
-            change = report.overlap_change(Ubar, self.M)
+            change = report.overlap_change(self.M, Ubar_r)
             self.M += np.outer(change, report.update_coeffs)
         self._track()
         self.update_det = (self.sign, self.logdet)

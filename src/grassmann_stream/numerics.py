@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels with explicit numerical contracts.
 
 Everything here operates on plain float64 numpy arrays. An "orthonormal
-basis" is an n x d array whose columns satisfy ||U^T U - I||_F <= 1e-10;
-constructors in this package go through :func:`orthonormalize` to
-enforce that.
+basis" is an n x d array whose columns satisfy ||U^T U - I||_F <=
+ORTHONORMAL_TOL. The package builds its bases through
+:func:`orthonormalize` or ``datagen.perturb_within_region``, and
+``grouse.GrouseState`` checks the contract for the basis it is given.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 # tolerance times the largest for a matrix to count as full column rank.
 RANK_RTOL = 1e-10  # least_squares
 ORTHONORMALIZE_RTOL = 1e-12  # orthonormalize
+ORTHONORMAL_TOL = 1e-10  # absolute, on ||U^T U - I||_F (see above)
 
 
 class RankDeficient(ValueError):

@@ -117,20 +117,18 @@ def coefficient_split(
     return W[:, 0], W[:, 1]
 
 
-def delta_term(
-    M: np.ndarray, Ubar: np.ndarray, r: np.ndarray, w_perp: np.ndarray
-) -> float:
+def delta_term(M: np.ndarray, Ubar_r: np.ndarray, w_perp: np.ndarray) -> float:
     """The perturbation undersampling injects into the determinant update.
 
     Delta = w_perp^T M^{-1} Ubar^T r, where M = Ubar^T U is the overlap of
     the basis U before the step, w_perp is the coefficient leakage of the
-    orthogonal remainder of v (from coefficient_split) and r = A^T (x - B w)
-    is the lifted residual of the least-squares solution w = w_par + w_perp.
-    O(nd + d^3). Zero (to rounding) for full sampling. Raises
+    orthogonal remainder of v (from coefficient_split) and Ubar_r = Ubar^T r
+    for the lifted residual r = A^T (x - B w) of the least-squares solution
+    w = w_par + w_perp. O(d^3). Zero (to rounding) for full sampling. Raises
     SingularOverlap when M is exactly singular.
     """
     try:
-        return float(w_perp @ np.linalg.solve(M, Ubar.T @ r))
+        return float(w_perp @ np.linalg.solve(M, Ubar_r))
     except np.linalg.LinAlgError as exc:
         raise SingularOverlap("estimate and truth share no overlap in some direction") from exc
 
@@ -235,9 +233,10 @@ def _missing_delta(n: int) -> float:
 def expected_rate_missing(zeta: float, d: int, m: int, n: int) -> RateBound:
     """Expected improvement factor with entry-wise missing data.
 
-    1 + (1/4)(m/n)(1 - zeta)/d, holding with probability 1 - 3/n^2 inside
-    the local region of the truth. Implemented in ratio form (see the
-    decisions ledger for the statement/proof discrepancy).
+    rate = 1 + (1/4)(m/n)(1 - zeta)/d bounds E[zeta_next] / zeta from
+    below inside the local region of the truth, with probability
+    1 - 3/n^2 (clamped to [0, 1]). params holds the analysis's
+    delta = 1/n^2 and the vacuous flag.
     """
     if m > n:
         raise ValueError("m must not exceed n")

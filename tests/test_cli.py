@@ -387,6 +387,12 @@ def test_shipped_configs_present():
     ]
 
 
+def test_readme_states_the_reorthonormalization_causes():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (sentence,) = re.findall(r"`reorth_causes` \(the same count split into ([^)]*)\)", readme)
+    assert re.findall(r"`(\w+)`", sentence) == list(grouse.REORTH_CAUSES)
+
+
 def test_readme_states_the_block_defaults():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (.+) \|$", readme, re.MULTILINE)

@@ -688,12 +688,12 @@ def test_verify_sees_a_flipped_sign_of_the_full_data_ratio(monkeypatch):
 ALL_KINDS = ["full", "gaussian", "entrywise"]
 
 
-def _drop_span_term(report, Ubar, M):
-    return np.sin(report.theta) / report.norm_r * (Ubar.T @ report.r)
+def _drop_span_term(report, M, Ubar_r):
+    return np.sin(report.theta) / report.norm_r * Ubar_r
 
 
-def _scale_change(report, Ubar, M, _real=grouse.StepReport.overlap_change):
-    return (1.0 + 1e-6) * _real(report, Ubar, M)
+def _scale_change(report, M, Ubar_r, _real=grouse.StepReport.overlap_change):
+    return (1.0 + 1e-6) * _real(report, M, Ubar_r)
 
 
 @pytest.mark.parametrize(

@@ -183,7 +183,7 @@ def _split_and_delta(U, Ubar, op, v):
     v_par, _ = numerics.project(U, v)
     w_par, w_perp = theory.coefficient_split(B, x, sampling.apply(op, v_par))
     r = sampling.adjoint(op, x - B @ (w_par + w_perp))
-    return w_par, w_perp, theory.delta_term(Ubar.T @ U, Ubar, r, w_perp)
+    return w_par, w_perp, theory.delta_term(Ubar.T @ U, Ubar.T @ r, w_perp)
 
 
 def test_delta_zero_for_full_sampling():
