@@ -88,9 +88,10 @@ def _load_config(path: str) -> dict:
 
 _TRIAL_FIELDS = {f.name for f in dataclasses.fields(harness.TrialConfig)}
 # Block -> its keys and their defaults. A given value must be an integer
-# >= 1 where the default is an integer, and a finite number where it is a
-# float. A key declared by a type instead has a default its command works
-# out: a sweep's axes come from the trial config, and kappa is 1 - zeta.
+# >= 1 where the default is an integer, a finite number where it is a
+# float, and a JSON array where the key is declared by list. A key
+# declared by a type has a default its command works out: a sweep's axes
+# come from the trial config, and kappa is 1 - zeta.
 _BLOCKS = {
     "sweep": {"ns": list, "ds": list, "ms": list, "trials_per_cell": 10},
     "monte_carlo": {"num_steps": 300, "num_trials": 50},
@@ -117,8 +118,11 @@ def _trial_config(cfg: dict, seed_override: int | None) -> harness.TrialConfig:
 
 def _checked(name: str, value, default):
     """value, checked against its key's default (see _BLOCKS). int() would
-    truncate 50.7, and float() would read "0.25" and true."""
+    truncate 50.7, float() would read "0.25" and true, and list() would
+    split "500" into digits."""
     kind = default if isinstance(default, type) else type(default)
+    if kind is list and not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON array, got {value!r}")
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if kind is int and not (number and isinstance(value, numbers.Integral) and value >= 1):
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
@@ -153,7 +157,6 @@ def _cmd_run(config: harness.TrialConfig, args) -> int:
         "final_zeta": series.final_zeta,
         "step_counts": series.step_counts,
         "reorthonormalizations": series.reorthonormalizations,
-        "reorth_causes": series.reorth_causes,
         "wall_time_s": series.wall_time,
         "metadata": series.metadata,
     }
@@ -222,9 +225,11 @@ def _cmd_verify(plan, args) -> int:
     report["config"] = dataclasses.asdict(config)
     report["num_steps"] = num_steps
     unsampled = report["unsampled"]
+    # n/a: an identity that does not apply to the sampling mode.
     text = [
         f"{name}: max_violation={_fmt(res['max_violation'])} tol={_fmt(res['tolerance'])} "
-        f"{'VIOLATED' if not res['passed'] else 'UNSAMPLED' if name in unsampled else 'ok'}"
+        + ("VIOLATED" if not res["passed"] else "UNSAMPLED" if name in unsampled
+           else "ok" if res["samples"] else "n/a")
         for name, res in report["identities"].items()
     ]
     _output(args, {"verify.json": report}, report, text)

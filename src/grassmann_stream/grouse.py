@@ -21,16 +21,14 @@ from .numerics import RankDeficient
 # Residual / projection magnitudes at or below this fraction of ||x||
 # make the update direction numerically meaningless.
 DEGENERACY_RTOL = 1e-12
-# Why a step reorthonormalizes, which bounds the rounding drift of U: its
-# cadence of REORTH_EVERY steps came due, or the pending factor K grew too
-# ill conditioned (see COND_LIMIT).
+# Every REORTH_EVERY steps the basis is reorthonormalized, which bounds
+# the rounding drift of U.
 REORTH_EVERY = 100
-REORTH_CAUSES = ("cadence", "conditioning")
 # An entry-wise step multiplies the pending factor K of U = V K by
-# I - (1 - cos theta) c c^T, so prod 1/cos(theta) over the steps since K
-# was last folded bounds cond(K). Past COND_LIMIT a step reorthonormalizes;
-# a step with 1/cos(theta) above it takes the dense update instead. The
-# rounding error of a factored update grows like eps cond(K).
+# I - (1 - cos theta) c c^T, so cond_bound = prod 1/cos(theta) over the
+# steps since K was last folded bounds cond(K). A step that would take it
+# to COND_LIMIT or past folds K into V and takes the dense update instead,
+# since the rounding error of a factored update grows like eps cond(K).
 COND_LIMIT = 100.0
 
 
@@ -59,16 +57,11 @@ class StepReport:
     norm_r_tilde: float = 0.0
     norm_r: float = 0.0
     theta: float = 0.0
-    # One of REORTH_CAUSES when the step reorthonormalized.
-    reorth_cause: str | None = None
+    reorthonormalized: bool = False
     B: np.ndarray | None = field(default=None, repr=False)
     r: np.ndarray | None = field(default=None, repr=False)
     update_coeffs: np.ndarray | None = field(default=None, repr=False)
     update_span: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def reorthonormalized(self) -> bool:
-        return self.reorth_cause is not None
 
     def overlap_change(self, M: np.ndarray, Ubar_r: np.ndarray) -> np.ndarray:
         """Ubar^T direction, from M = Ubar^T U before the step and Ubar_r = Ubar^T r."""
@@ -81,8 +74,9 @@ class GrouseState:
     The basis is held as U = V K: V is n x d and K is a pending d x d
     factor, None when there is none (then U is V itself). An entry-wise
     step updates K, its inverse and the sampled rows of V only (Brand,
-    Linear Algebra Appl. 415, 2006). Any other update, and every
-    reorthonormalization, first folds K into V.
+    Linear Algebra Appl. 415, 2006), while cond_bound stays below
+    COND_LIMIT. Any other update, and every reorthonormalization, first
+    folds K into V.
 
     U must be an orthonormal basis (see numerics); ValueError otherwise.
     Single-writer: one logical stream mutates a state sequentially.
@@ -95,7 +89,8 @@ class GrouseState:
         self.V = U
         self.K: np.ndarray | None = None
         self.K_inv: np.ndarray | None = None
-        # prod 1/cos(theta) over the steps K has absorbed; >= cond_2(K).
+        # prod 1/cos(theta) over the steps K has absorbed; >= cond_2(K)
+        # and < COND_LIMIT.
         self.cond_bound = 1.0
         self.steps_since_reorth = 0
 
@@ -184,7 +179,7 @@ def step(
         update_span=(cos_theta - 1.0) / norm_p * w,
     )
     # Only an entry-wise r is sparse; full and Gaussian steps stay dense.
-    if isinstance(op, sampling.EntrywiseSampling) and cos_theta * COND_LIMIT > 1.0:
+    if isinstance(op, sampling.EntrywiseSampling) and cos_theta * COND_LIMIT > state.cond_bound:
         # U' = U + (a U w + b r) c^T with c = w/||w||. As a w c^T =
         # (cos theta - 1) c c^T, K' = K (I - (1 - cos theta) c c^T) and
         # V' = V + b r c^T K'^-1, where c^T K'^-1 = c^T K^-1 / cos theta.
@@ -212,18 +207,10 @@ def step(
         state.V = update
     state.steps_since_reorth += 1
 
-    report.reorth_cause = _reorth_cause(state)
-    if report.reorth_cause is not None:
+    report.reorthonormalized = state.steps_since_reorth >= REORTH_EVERY
+    if report.reorthonormalized:
         reorthonormalize(state)
     return report
-
-
-def _reorth_cause(state: GrouseState) -> str | None:
-    if state.steps_since_reorth >= REORTH_EVERY:
-        return "cadence"
-    if state.cond_bound > COND_LIMIT:
-        return "conditioning"
-    return None
 
 
 def _fold(state: GrouseState) -> None:

@@ -100,8 +100,6 @@ class TrialSeries:
     # Steps per StepStatus value, counted at every diagnostics level.
     step_counts: dict[str, int] = field(default_factory=dict)
     reorthonormalizations: int = 0
-    # The same, per cause: "cadence" or "conditioning".
-    reorth_causes: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -205,15 +203,14 @@ def run_trial(config: TrialConfig) -> TrialSeries:
     converged = False
     iterations = None
     step_counts = dict.fromkeys(StepStatus, 0)
-    reorth_causes = dict.fromkeys(grouse.REORTH_CAUSES, 0)
+    reorthonormalizations = 0
     zeta = float(np.exp(trial.log_zeta))
     for t, sample in enumerate(trial.stream(config.op_spec(), config.max_iters)):
         report = trial.step(sample, diagnose=full_diag)
         delta = trial.diagnosis.delta if full_diag else np.nan
         bound = np.nan
         step_counts[report.status] += 1
-        if report.reorthonormalized:
-            reorth_causes[report.reorth_cause] += 1
+        reorthonormalizations += report.reorthonormalized
         zeta = float(np.exp(trial.log_zeta))
         if full_diag and report.status is StepStatus.UPDATED and np.isfinite(delta):
             bound = theory.step_lower_bound_undersampled(
@@ -247,8 +244,7 @@ def run_trial(config: TrialConfig) -> TrialSeries:
         final_zeta=zeta,
         wall_time=time.perf_counter() - start,
         step_counts={status.value: count for status, count in step_counts.items()},
-        reorthonormalizations=sum(reorth_causes.values()),
-        reorth_causes=reorth_causes,
+        reorthonormalizations=reorthonormalizations,
         metadata={"mu0": trial.truth.mu0, "truth_kind": trial.truth.kind},
     )
 
@@ -289,11 +285,13 @@ def monte_carlo_ratio(
     """Empirical per-step improvement, binned by pre-step similarity.
 
     Runs num_trials independent streams of num_steps updates each;
-    skipped steps contribute nothing. Each updated step records its
+    skipped steps contribute nothing. config's zeta_star, max_iters and
+    diagnostics_level are not read. Each updated step records its
     pre-step similarity zeta, its ratio and, when theory_step_fn is given,
     theory_step_fn(zeta, phi_d). The records are binned once, at the end:
-    bin b holds edges[b] <= zeta < edges[b + 1] for increasing edges (20
-    uniform bins by default), and the last bin also holds zeta = 1.
+    bin b holds edges[b] <= zeta < edges[b + 1] (20 uniform bins by
+    default), and the last bin also holds zeta = 1. edges must be 1-D
+    with at least 2 strictly increasing entries; ValueError otherwise.
     default_theory_fn(config) is evaluated at bin centers.
 
     warmup_targets, when given, is cycled across trials: before the
@@ -302,6 +300,10 @@ def monte_carlo_ratio(
     covers similarity levels a short undersampled run could not reach.
     """
     edges = np.array(edges, dtype=np.float64)
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+        raise ValueError(
+            f"edges must be 1-D with 2 or more strictly increasing entries, got {edges!r}"
+        )
     # Rows zeta, ratio and per-step theory value: 24 bytes per updated step.
     samples = np.empty((3, num_trials * num_steps))
     recorded = 0
@@ -434,11 +436,13 @@ INVARIANT_TOLERANCES = {
 def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
     """Check every deterministic per-step identity along one stream.
 
-    Returns {"passed": bool, "identities": {name: {max_violation,
-    tolerance, passed, samples}}, "unsampled": [name, ...]}. Identities
-    that do not apply to the configured sampling mode report zero samples.
-    One that applies and has none is listed in "unsampled" and fails the
-    stream: a stream whose steps never reach an identity has not checked it.
+    The stream runs num_steps steps; config's zeta_star, max_iters and
+    diagnostics_level are not read. Returns {"passed": bool,
+    "identities": {name: {max_violation, tolerance, passed, samples}},
+    "unsampled": [name, ...]}. Identities that do not apply to the
+    configured sampling mode report zero samples. One that applies and has
+    none is listed in "unsampled" and fails the stream: a stream whose
+    steps never reach an identity has not checked it.
     """
     trial = _Trial(config)
     Ubar = trial.truth.Ubar

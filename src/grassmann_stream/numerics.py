@@ -50,7 +50,7 @@ def least_squares(B: np.ndarray, x: np.ndarray) -> np.ndarray:
     block and Q^T x in its trailing columns. x may hold several right-hand
     sides as columns; w then has one column per right-hand side.
 
-    The QR route keeps the conditioning proportional to cond(B), which
+    The QR route keeps the error proportional to cond(B), which
     matters when B is a sampled basis with barely more rows than columns.
     Raises RankDeficient when the smallest singular value of B is at most
     RANK_RTOL times the largest (callers treat this as "skip this step").

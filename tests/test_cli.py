@@ -70,9 +70,6 @@ def test_run_writes_series_and_summary(tmp_path, capsys):
     assert set(counts) == {status.value for status in grouse.StepStatus}
     assert sum(counts.values()) == len(lines) - 1 == summary["iterations_to_target"]
     assert isinstance(summary["reorthonormalizations"], int)
-    causes = summary["reorth_causes"]
-    assert set(causes) == set(grouse.REORTH_CAUSES)
-    assert sum(causes.values()) == summary["reorthonormalizations"]
 
 
 def test_run_seed_repeatability_byte_identical(tmp_path):
@@ -159,6 +156,32 @@ def test_verify_fails_when_an_identity_has_no_samples(tmp_path, capsys):
         "undersampled_lower_bound", "projection_matches_truth_component",
     ]
     assert capsys.readouterr().out.count("UNSAMPLED") == 4
+
+
+@pytest.mark.parametrize(
+    "kind, m, not_applicable",
+    [
+        ("full", None, ["schur_determinant_identity", "undersampled_lower_bound"]),
+        ("gaussian", 20, ["full_data_exact_ratio"]),
+    ],
+    ids=["full", "gaussian"],
+)
+def test_verify_text_marks_identities_that_do_not_apply(
+    tmp_path, capsys, kind, m, not_applicable
+):
+    # An identity the mode never checks reads n/a, not ok; verify.json is
+    # unchanged and still reports zero samples for it.
+    payload = {**BASE_CFG, "op_kind": kind, "m": m, "verify": {"num_steps": 60}}
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", _write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    status = {words[0].rstrip(":"): words[-1] for words in lines}
+    assert [name for name, word in status.items() if word == "n/a"] == not_applicable
+    assert set(status.values()) == {"ok", "n/a"}
+    report = json.loads((out / "verify.json").read_text(encoding="utf-8"))
+    assert report["passed"] is True and report["unsampled"] == []
+    for name in not_applicable:
+        assert report["identities"][name]["samples"] == 0
 
 
 def test_verify_fault_injection_exits_1(tmp_path, monkeypatch):
@@ -248,51 +271,67 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
 
 
 @pytest.mark.parametrize(
-    "command, payload",
+    "command, payload, message",
     [
-        ("bounds", {**BASE_CFG, "bounds": [1, 2]}),
-        ("run", {**BASE_CFG, "d": 40}),
-        ("run", {**BASE_CFG, "op_kind": "entrywise", "m": 41}),
-        ("run", {**BASE_CFG, "n": "50"}),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": "x"}}),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "ds": [40]}}),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multiple": 3.0}}),
-        ("verify", {**BASE_CFG, "verify": {"num_steps": "x"}}),
-        ("histogram", BASE_CFG),
-        ("bounds", {"n": 50.7, "d": 5}),
-        ("bounds", {"n": 50, "d": 5, "m": 20.5}),
-        ("histogram", {**BASE_CFG, "monte_carlo": {"num_steps": 40.5}}),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": 2.5}}),
-        ("verify", {**BASE_CFG, "verify": {"num_steps": 60.5}}),
-        ("bounds", {"n": 5000, "d": 10, "bounds": {"delta": 0.5}}),
-        ("bounds", {"n": 5000, "d": 10, "bounds": {"delta": 0.6}}),
-        ("histogram", {**BASE_CFG, "monte_carlo": {"num_step": 5, "num_trials": 1}}),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multipel": 2.0}}),
-        ("verify", {**BASE_CFG, "verify": {"num_step": 5}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"deltta": 0.3}}),
-        ("bounds", {"n": 100, "d": 5, "deltta": 0.3}),
-        ("bounds", {"n": 100, "d": 5, "op_kind": "laplace"}),
-        ("bounds", {"n": 100, "d": 5, "init": "bogus"}),
-        ("bounds", {"n": 100, "d": 5, "seed": -1}),
-        ("bounds", {"d": 5}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"n": 200}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"d": 10}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"m": 30}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta_star": 0.99}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"mu0": -3}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"mu0": 0}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"mu0": 20.5}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"mu_vperp": 0}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"mu_vperp": 101}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": True}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": "0.25"}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": 1.5, "kappa": 0.5}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": -0.5, "kappa": 0.5}}),
-        ("verify", {**BASE_CFG, "verify": {"num_steps": 0}}),
-        ("verify", {**BASE_CFG, "verify": {"num_steps": -5}}),
-        ("histogram", {**BASE_CFG, "monte_carlo": {"num_trials": 0}}),
-        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": 0}}),
-        ("bounds", {"n": 100, "d": 5, "bounds": {"rho": float("nan")}}),
+        ("bounds", {**BASE_CFG, "bounds": [1, 2]}, "'bounds' to be an object"),
+        ("run", {**BASE_CFG, "d": 40}, "need 1 <= d < n"),
+        ("run", {**BASE_CFG, "op_kind": "entrywise", "m": 41}, "m must not exceed n"),
+        ("run", {**BASE_CFG, "n": "50"}, "n must be an integer"),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": "x"}},
+         "trials_per_cell must be an integer"),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "ds": [40]}}, "need 1 <= d < n"),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multiple": 3.0}},
+         "unknown 'sweep' keys"),
+        ("verify", {**BASE_CFG, "verify": {"num_steps": "x"}}, "num_steps must be an integer"),
+        ("histogram", BASE_CFG, "'monte_carlo' to be an object"),
+        ("bounds", {"n": 50.7, "d": 5}, "n must be an integer"),
+        ("bounds", {"n": 50, "d": 5, "m": 20.5}, "m must be an integer"),
+        ("histogram", {**BASE_CFG, "monte_carlo": {"num_steps": 40.5}},
+         "num_steps must be an integer"),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": 2.5}},
+         "trials_per_cell must be an integer"),
+        ("verify", {**BASE_CFG, "verify": {"num_steps": 60.5}}, "num_steps must be an integer"),
+        ("bounds", {"n": 5000, "d": 10, "bounds": {"delta": 0.5}}, "2 delta sqrt(m/n) < 1"),
+        ("bounds", {"n": 5000, "d": 10, "bounds": {"delta": 0.6}}, "2 delta sqrt(m/n) < 1"),
+        ("histogram", {**BASE_CFG, "monte_carlo": {"num_step": 5, "num_trials": 1}},
+         "unknown 'monte_carlo' keys"),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "cap_multipel": 2.0}},
+         "unknown 'sweep' keys"),
+        ("verify", {**BASE_CFG, "verify": {"num_step": 5}}, "unknown 'verify' keys"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"deltta": 0.3}}, "unknown 'bounds' keys"),
+        ("bounds", {"n": 100, "d": 5, "deltta": 0.3}, "unknown config keys"),
+        ("bounds", {"n": 100, "d": 5, "op_kind": "laplace"}, "unknown operator kind"),
+        ("bounds", {"n": 100, "d": 5, "init": "bogus"}, "unknown init"),
+        ("bounds", {"n": 100, "d": 5, "seed": -1}, "seed must be >= 0"),
+        ("bounds", {"d": 5}, "argument: 'n'"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"n": 200}}, "unknown 'bounds' keys: ['n']"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"d": 10}}, "unknown 'bounds' keys: ['d']"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"m": 30}}, "unknown 'bounds' keys: ['m']"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta_star": 0.99}},
+         "unknown 'bounds' keys: ['zeta_star']"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"mu0": -3}}, "mu0 must lie in"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"mu0": 0}}, "mu0 must lie in"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"mu0": 20.5}}, "mu0 must lie in"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"mu_vperp": 0}}, "mu_vperp must lie in"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"mu_vperp": 101}}, "mu_vperp must lie in"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": True}}, "zeta must be a finite number"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": "0.25"}}, "zeta must be a finite number"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": 1.5, "kappa": 0.5}},
+         "zeta is a similarity"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"zeta": -0.5, "kappa": 0.5}},
+         "zeta is a similarity"),
+        ("verify", {**BASE_CFG, "verify": {"num_steps": 0}}, "num_steps must be an integer >= 1"),
+        ("verify", {**BASE_CFG, "verify": {"num_steps": -5}}, "num_steps must be an integer >= 1"),
+        ("histogram", {**BASE_CFG, "monte_carlo": {"num_trials": 0}},
+         "num_trials must be an integer >= 1"),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "trials_per_cell": 0}},
+         "trials_per_cell must be an integer >= 1"),
+        ("bounds", {"n": 100, "d": 5, "bounds": {"rho": float("nan")}},
+         "rho must be a finite number"),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "ns": "500"}}, "ns must be a JSON array"),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "ns": 500}}, "ns must be a JSON array"),
+        ("sweep", {**BASE_CFG, "sweep": {**SWEEP_BLOCK, "ds": {"d": 4}}},
+         "ds must be a JSON array"),
     ],
     ids=[
         "bounds_not_object", "d_not_below_n", "entrywise_m_above_n", "n_string",
@@ -310,12 +349,14 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         "bounds_zeta_bool", "bounds_zeta_string", "bounds_zeta_above_one",
         "bounds_zeta_negative", "verify_num_steps_zero", "verify_num_steps_negative",
         "histogram_num_trials_zero", "trials_per_cell_zero", "bounds_rho_nan",
+        "ns_string", "ns_integer", "ds_object",
     ],
 )
-def test_config_errors_exit_2(tmp_path, capsys, command, payload):
+def test_config_errors_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write_cfg(tmp_path, payload)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_module_entry_point_runs_without_warning(tmp_path):
@@ -385,12 +426,6 @@ def test_shipped_configs_present():
     assert [p.stem for p in CONFIGS] == [
         "convergence_scaling", "improvement_histogram", "undersampled_sweep"
     ]
-
-
-def test_readme_states_the_reorthonormalization_causes():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    (sentence,) = re.findall(r"`reorth_causes` \(the same count split into ([^)]*)\)", readme)
-    assert re.findall(r"`(\w+)`", sentence) == list(grouse.REORTH_CAUSES)
 
 
 def test_readme_states_the_block_defaults():

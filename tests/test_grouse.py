@@ -171,21 +171,28 @@ def test_state_rejects_a_basis_that_is_not_orthonormal():
 
 
 def test_rounding_drift_before_each_reorthonormalization(monkeypatch):
-    # The cadence and conditioning triggers alone bound the drift of U from
-    # orthonormality; it must stay far below the 1e-10 of the basis
-    # contract just before either fires (measured worst 6.6e-15).
-    drifts = []
+    # The cadence and the fold of K before cond_bound reaches COND_LIMIT
+    # bound the drift of U from orthonormality; it must stay far below the
+    # 1e-10 of the basis contract before every reorthonormalization and
+    # every fold of a pending K (measured worst 6.6e-15).
+    drifts, fold_drifts = [], []
 
     def recording(state, _real=grouse.reorthonormalize):
         drifts.append(numerics.orthonormality_drift(state.U))
         _real(state)
 
+    def recording_fold(state, _real=grouse._fold):
+        if state.K is not None:
+            fold_drifts.append(numerics.orthonormality_drift(state.U))
+        _real(state)
+
     monkeypatch.setattr(grouse, "reorthonormalize", recording)
-    causes = Counter()
+    monkeypatch.setattr(grouse, "_fold", recording_fold)
+    reorthonormalizations = 0
     # (kind, n, d, m, seed); d = 1 and m = d + 1 included. Seed 12 at
     # n=300, d=8, m=40 is the trial of
-    # test_factored_steps_match_dense_reference_and_tracked_overlap, which
-    # takes conditioning reorthonormalizations.
+    # test_factored_steps_match_dense_reference_and_tracked_overlap, whose
+    # early large steps fold K before cond_bound reaches COND_LIMIT.
     cases = [
         ("full", 200, 5, None, 17), ("gaussian", 200, 5, 40, 18),
         ("entrywise", 200, 5, 40, 19), ("full", 100, 1, None, 20),
@@ -200,11 +207,11 @@ def test_rounding_drift_before_each_reorthonormalization(monkeypatch):
             # One right-angle step folds a pending K into a dense update.
             theta = np.pi / 2 if (seed, t) == (19, 150) else None
             report = grouse.step(trial.state, sample.op, sample.x, theta=theta)
-            if report.reorthonormalized:
-                causes[report.reorth_cause] += 1
-    assert set(causes) == set(grouse.REORTH_CAUSES)
-    assert len(drifts) == sum(causes.values())
-    assert max(drifts) <= 1e-12
+            reorthonormalizations += report.reorthonormalized
+            assert trial.state.cond_bound < grouse.COND_LIMIT
+    assert len(drifts) == reorthonormalizations > 0
+    assert fold_drifts
+    assert max(drifts + fold_drifts) <= 1e-12
 
 
 def test_determinism():
@@ -276,13 +283,16 @@ def test_factored_steps_match_dense_reference_and_tracked_overlap():
     trial = harness._Trial(config)
     samples = trial.stream(config.op_spec(), 300)
     worst_U = worst_M = 0.0
-    causes = set()
+    pending, folds, reorthonormalizations = False, 0, 0
     for report, U_ref in _beside_reference(trial.step, trial.state.U.copy(), samples):
-        causes.add(report.reorth_cause)
+        # A step that found K pending and left none folded it into V.
+        folds += pending and trial.state.K is None and not report.reorthonormalized
+        reorthonormalizations += report.reorthonormalized
+        pending = trial.state.K is not None
         U = trial.state.U
         worst_U = max(worst_U, float(np.abs(U - U_ref).max()))
         worst_M = max(worst_M, float(np.abs(trial.M - trial.truth.Ubar.T @ U).max()))
-    assert {"conditioning", "cadence"} <= causes
+    assert folds > 0 and reorthonormalizations > 0
     assert worst_U <= 1e-10
     assert worst_M <= 1e-12
 

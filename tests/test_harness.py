@@ -89,19 +89,18 @@ def test_run_trial_counts_steps_at_every_level():
     assert none.reorthonormalizations == basic.reorthonormalizations > 0
 
 
-def test_run_trial_counts_reorthonormalizations_by_cause():
-    # Large early steps from a random start make the pending factor K of
-    # the entry-wise basis ill conditioned before the cadence of 100 is due.
+def test_run_trial_reorthonormalizes_only_on_the_cadence():
+    # Large early steps from a random start would make the pending factor
+    # K of the entry-wise basis ill conditioned; K is folded into V before
+    # cond_bound reaches COND_LIMIT, so only the cadence reorthonormalizes.
     series = harness.run_trial(
         harness.TrialConfig(
             n=300, d=8, op_kind="entrywise", m=40, zeta_star=1 - 1e-12,
             max_iters=150, seed=12, diagnostics_level="none",
         )
     )
-    causes = series.reorth_causes
-    assert set(causes) == set(grouse.REORTH_CAUSES)
-    assert causes["conditioning"] > 0
-    assert sum(causes.values()) == series.reorthonormalizations
+    assert series.iterations is None
+    assert series.reorthonormalizations == 150 // grouse.REORTH_EVERY
 
 
 # (converged, iterations, non-UPDATED steps, final_zeta) of seeds 0-2, as
@@ -575,6 +574,19 @@ def test_monte_carlo_ratio_bins_at_the_edges_given():
     assert halves.bin_edges.tolist() == [0.0, 0.5, 1.0]
     assert halves.counts.tolist() == [default.counts[:10].sum(), default.counts[10:].sum()]
     assert halves.theory.shape == (2,)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[1.0, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0], [0.0, np.nan, 1.0], [0.5], [[0.0, 0.5, 1.0]]],
+    ids=["decreasing", "repeated", "nan", "one_entry", "two_dimensional"],
+)
+def test_monte_carlo_ratio_rejects_edges_that_do_not_bin(edges):
+    # Unchecked, the decreasing edges give counts [41, 109] and a mean zeta
+    # of 0.114 in the bin labelled [1.0, 0.5).
+    config = harness.TrialConfig(n=60, d=3, op_kind="full", seed=1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        harness.monte_carlo_ratio(config, num_steps=50, num_trials=3, edges=edges)
 
 
 def test_missing_with_m_equals_n_close_to_full():
