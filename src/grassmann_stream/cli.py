@@ -87,6 +87,9 @@ def _load_config(path: str) -> dict:
 
 
 _TRIAL_FIELDS = {f.name for f in dataclasses.fields(harness.TrialConfig)}
+_REQUIRED_TRIAL_FIELDS = [
+    f.name for f in dataclasses.fields(harness.TrialConfig) if f.default is dataclasses.MISSING
+]
 # Block -> its keys and their defaults. A given value must be an integer
 # >= 1 where the default is an integer, a finite number where it is a
 # float, and a JSON array where the key is declared by list. A key
@@ -110,6 +113,9 @@ def _reject_unknown(keys, known, where: str) -> None:
 
 
 def _trial_config(cfg: dict, seed_override: int | None) -> harness.TrialConfig:
+    missing = [k for k in _REQUIRED_TRIAL_FIELDS if k not in cfg]
+    if missing:
+        raise ConfigError(f"the config needs {' and '.join(map(repr, missing))}")
     kwargs = {k: v for k, v in cfg.items() if k in _TRIAL_FIELDS}
     if seed_override is not None:
         kwargs["seed"] = seed_override

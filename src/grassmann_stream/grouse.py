@@ -138,8 +138,9 @@ def step(
         raise ValueError("theta must lie in [0, pi/2]")
     if op.n != state.n:
         raise ValueError("operator ambient dimension does not match the state")
-    x = np.asarray(x, dtype=np.float64)
-    norm_x = float(np.linalg.norm(x))
+    # Contiguous, so each norm sqrt(v @ v) is np.linalg.norm's dot.
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    norm_x = math.sqrt(x @ x)
     # A NaN or infinite measurement would spread into every entry of U.
     if not math.isfinite(norm_x):
         return StepReport(status=StepStatus.SKIPPED_NONFINITE_INPUT)
@@ -152,14 +153,14 @@ def step(
     except RankDeficient:
         return StepReport(status=StepStatus.SKIPPED_RANK_DEFICIENT, B=B)
 
-    norm_w = float(np.linalg.norm(w))
+    norm_w = math.sqrt(w @ w)
     if norm_w <= DEGENERACY_RTOL * norm_x:
         return StepReport(status=StepStatus.SKIPPED_ZERO_PROJECTION, w=w, B=B)
 
     r_tilde = x - B @ w
     r = sampling.adjoint(op, r_tilde)
-    norm_r_tilde = float(np.linalg.norm(r_tilde))
-    norm_r = float(np.linalg.norm(r))
+    norm_r_tilde = math.sqrt(r_tilde @ r_tilde)
+    norm_r = math.sqrt(r @ r)
     # ||p|| = ||U w|| = ||w|| since the columns of U are orthonormal.
     norm_p = norm_w
     if norm_r <= DEGENERACY_RTOL * norm_x:

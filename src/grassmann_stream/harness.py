@@ -177,7 +177,7 @@ class _Trial:
             self.diagnosis = Diagnosis(U, v_par, v_perp, w_par, delta)
         if report.update_coeffs is not None:
             change = report.overlap_change(self.M, Ubar_r)
-            self.M += np.outer(change, report.update_coeffs)
+            self.M += np.einsum("i,j->ij", change, report.update_coeffs)
         self._track()
         self.update_det = (self.sign, self.logdet)
         if report.reorthonormalized:
@@ -187,7 +187,7 @@ class _Trial:
 
     def _track(self) -> None:
         """(sign, log|det M|) and log zeta of the current M, from one slogdet."""
-        self.sign, self.logdet = np.linalg.slogdet(self.M)
+        self.sign, self.logdet = numerics.slogdet(self.M)
         self.log_zeta = metrics.log_similarity(self.logdet)
 
 

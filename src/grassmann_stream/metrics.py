@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
+
 
 class DimensionMismatch(ValueError):
     pass
@@ -50,7 +52,7 @@ def overlap_cosines(M: np.ndarray) -> np.ndarray:
 def log_similarity(log_abs_det: float) -> float:
     """log zeta = 2 log |det M| for the d x d overlap matrix M = Ubar^T U.
 
-    Takes log |det M| as np.linalg.slogdet(M) gives it. |det M| is the
+    Takes log |det M| as numerics.slogdet(M) gives it. |det M| is the
     product of the principal-angle cosines, so this is 2 sum log cos
     without computing the angles. -inf when the determinant is exactly 0,
     i.e. some principal angle is a right angle. Capped at 0: rounding can
@@ -73,7 +75,7 @@ def principal_angles(U: np.ndarray, Ubar: np.ndarray) -> PrincipalAngleProfile:
     M = _checked_overlap(U, Ubar)
     cosines = overlap_cosines(M)
     sines_sq = np.clip(1.0 - cosines**2, 0.0, 1.0)
-    log_zeta = log_similarity(np.linalg.slogdet(M)[1])
+    log_zeta = log_similarity(numerics.slogdet(M)[1])
     return PrincipalAngleProfile(
         cosines=cosines,
         sines=np.sqrt(sines_sq),

@@ -9,7 +9,11 @@ ORTHONORMAL_TOL. The package builds its bases through
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 # Relative rank tolerances: smallest singular value must exceed the
 # tolerance times the largest for a matrix to count as full column rank.
@@ -68,10 +72,18 @@ def least_squares(B: np.ndarray, x: np.ndarray) -> np.ndarray:
             f"{B.shape[0]} rows cannot determine {B.shape[1]} coefficients"
         )
     d = B.shape[1]
-    R_Bx = np.linalg.qr(np.column_stack((B, x)), mode="r")
+    R_Bx = np.column_stack((B, x))
+    qr_in_place(R_Bx)
     R, Qt_x = R_Bx[:d, :d], R_Bx[:d, d:]
+    # In these d rows the reflectors lie below R's diagonal only; Q^T x is above it.
+    R[_strictly_lower(d)] = 0.0
     _check_full_rank(R, RANK_RTOL, "least-squares matrix is numerically rank deficient")
-    return np.linalg.solve(R, Qt_x if x.ndim == 2 else Qt_x[:, 0])
+    return solve(R, Qt_x if x.ndim == 2 else Qt_x[:, 0])
+
+
+@functools.lru_cache(maxsize=64)
+def _strictly_lower(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.tril_indices(d, -1)
 
 
 def _check_full_rank(R: np.ndarray, rank_rtol: float, message: str) -> None:
@@ -84,11 +96,11 @@ def _check_full_rank(R: np.ndarray, rank_rtol: float, message: str) -> None:
     values, so every decision is the one they make.
     """
     try:
-        R_inv = np.linalg.inv(R)
-    except np.linalg.LinAlgError:
+        R_inv = inv(R)
+    except LinAlgError:
         pass
     else:
-        if np.linalg.norm(R) * np.linalg.norm(R_inv) * rank_rtol <= 0.5:
+        if math.sqrt(np.vdot(R, R)) * math.sqrt(np.vdot(R_inv, R_inv)) * rank_rtol <= 0.5:
             return
     sv = np.linalg.svd(R, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= rank_rtol * sv[0]:
@@ -104,3 +116,55 @@ def project(U: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(v, dtype=np.float64)
     v_par = U @ (U.T @ v)
     return v_par, v - v_par
+
+
+# The small dense calls of a step, each the LAPACK gufunc np.linalg calls,
+# called with np.linalg's signature string and floating-point error state:
+# the bits are np.linalg's and a failure raises np.linalg.LinAlgError. At
+# the d x d sizes of a step np.linalg's Python wrapping costs more than
+# the LAPACK work. tests/test_numerics.py pins each one to np.linalg.
+def _lapack_errstate(message: str):
+    """np.linalg's error state: LAPACK's failure flag raises LinAlgError(message)
+    and the rounding flags of the factorization are ignored."""
+    def raise_error(err, flag):
+        raise LinAlgError(message)
+
+    return np.errstate(
+        call=raise_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
+
+
+@_lapack_errstate("Incorrect argument found while performing QR factorization")
+def qr_in_place(a: np.ndarray) -> None:
+    """Householder QR of a float64 matrix a, written over a as LAPACK's
+    geqrf leaves it: R on and above the diagonal, the reflectors below.
+    np.triu(a[:min(a.shape)]) is the R of np.linalg.qr with mode "r"."""
+    _umath_linalg.qr_r_raw(a, signature="d->d")
+
+
+@_lapack_errstate("Singular matrix")
+def inv(a: np.ndarray) -> np.ndarray:
+    """The inverse of a square float64 a, as np.linalg.inv gives it."""
+    return _umath_linalg.inv(a, signature="d->d")
+
+
+@_lapack_errstate("Singular matrix")
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of a z = b for a square float64 a, as np.linalg.solve gives
+    it; b holds one right-hand side (1-D) or one per column (2-D)."""
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    return gufunc(a, b, signature="dd->d")
+
+
+@_lapack_errstate("Matrix is not positive definite")
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a square float64 a, as np.linalg.cholesky
+    gives it."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+def slogdet(a: np.ndarray) -> tuple[np.floating, np.floating]:
+    """(sign, log |det a|) of a square float64 a, as np.linalg.slogdet gives
+    them. np.linalg sets no error state for it either; a singular a gives
+    (0, -inf)."""
+    return _umath_linalg.slogdet(a, signature="d->dd")

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numerics
+
 # A part of a query outside the revealed directions whose norm is at most
 # this fraction of the query's norm is rounding error, not a new direction
 # (v_par lies in the span(U) a step's A U revealed). Revealing it would
@@ -214,7 +216,7 @@ def _cholesky(gram: np.ndarray) -> np.ndarray | None:
     if gram.shape[0] == 1:
         return None if gram[0, 0] <= 0.0 else np.sqrt(gram)
     try:
-        return np.linalg.cholesky(gram)
+        return numerics.cholesky(gram)
     except np.linalg.LinAlgError:
         return None
 
@@ -236,7 +238,7 @@ def _right_divide(X: np.ndarray, L: np.ndarray) -> np.ndarray:
     """
     if X.shape[1] == 1:
         return X * (1.0 / L) + 0.0
-    return X @ np.linalg.inv(L.T)
+    return X @ numerics.inv(L.T)
 
 
 @dataclass(frozen=True)

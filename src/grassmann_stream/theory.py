@@ -128,7 +128,7 @@ def delta_term(M: np.ndarray, Ubar_r: np.ndarray, w_perp: np.ndarray) -> float:
     SingularOverlap when M is exactly singular.
     """
     try:
-        return float(w_perp @ np.linalg.solve(M, Ubar_r))
+        return float(w_perp @ numerics.solve(M, Ubar_r))
     except np.linalg.LinAlgError as exc:
         raise SingularOverlap("estimate and truth share no overlap in some direction") from exc
 

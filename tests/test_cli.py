@@ -303,7 +303,9 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         ("bounds", {"n": 100, "d": 5, "op_kind": "laplace"}, "unknown operator kind"),
         ("bounds", {"n": 100, "d": 5, "init": "bogus"}, "unknown init"),
         ("bounds", {"n": 100, "d": 5, "seed": -1}, "seed must be >= 0"),
-        ("bounds", {"d": 5}, "argument: 'n'"),
+        ("bounds", {"d": 5}, "the config needs 'n'"),
+        ("run", {"d": 5}, "the config needs 'n'"),
+        ("bounds", {"n": 100}, "the config needs 'd'"),
         ("bounds", {"n": 100, "d": 5, "bounds": {"n": 200}}, "unknown 'bounds' keys: ['n']"),
         ("bounds", {"n": 100, "d": 5, "bounds": {"d": 10}}, "unknown 'bounds' keys: ['d']"),
         ("bounds", {"n": 100, "d": 5, "bounds": {"m": 30}}, "unknown 'bounds' keys: ['m']"),
@@ -343,7 +345,8 @@ SWEEP_BLOCK = {"ns": [40], "ds": [4], "ms": [None], "trials_per_cell": 2}
         "monte_carlo_unknown_key", "sweep_unknown_key", "verify_unknown_key",
         "bounds_unknown_key", "bounds_unknown_top_level_key",
         "bounds_op_kind_unknown", "bounds_init_unknown", "bounds_seed_negative",
-        "bounds_n_missing", "bounds_block_n", "bounds_block_d", "bounds_block_m",
+        "bounds_n_missing", "run_n_missing", "bounds_d_missing", "bounds_block_n",
+        "bounds_block_d", "bounds_block_m",
         "bounds_block_zeta_star", "bounds_mu0_negative", "bounds_mu0_zero",
         "bounds_mu0_above_n_over_d", "bounds_mu_vperp_zero", "bounds_mu_vperp_above_n",
         "bounds_zeta_bool", "bounds_zeta_string", "bounds_zeta_above_one",

@@ -140,3 +140,61 @@ def test_rank_decision_is_the_singular_value_test(monkeypatch, solve, constant, 
                 solve(B)
         else:
             solve(B)
+
+
+def _assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e13], ids=["well", "badly"])
+@pytest.mark.parametrize(
+    "m, k", [(2, 1), (21, 20), (100, 21), (500, 11), (5000, 11)],
+    ids=["2x1", "21x20", "100x21", "500x11", "5000x11"],
+)
+def test_kernels_return_np_linalg_bits(m, k, cond):
+    # Each kernel calls the LAPACK gufunc np.linalg calls; a numpy whose
+    # private gufuncs change fails here instead of moving seeded outputs.
+    s = np.geomspace(1.0, 1.0 / cond, k)
+    A = _with_singular_values(m, s, seed=m + k)
+    C = _with_singular_values(m, np.sqrt(s), seed=m + k + 1)
+    gram = C.T @ C  # positive definite, with condition number cond
+    packed = A.copy()
+    numerics.qr_in_place(packed)
+    R = np.triu(packed[:k])
+    _assert_same_bits(R, np.linalg.qr(A, mode="r"))
+    rng = np.random.default_rng(m * k)
+    b1, b3 = rng.standard_normal(k), rng.standard_normal((k, 3))
+    for S in (R, A[:k], gram):
+        _assert_same_bits(numerics.inv(S), np.linalg.inv(S))
+        _assert_same_bits(numerics.solve(S, b1), np.linalg.solve(S, b1))
+        _assert_same_bits(numerics.solve(S, b3), np.linalg.solve(S, b3))
+        for got, want in zip(numerics.slogdet(S), np.linalg.slogdet(S)):
+            _assert_same_bits(got, want)
+    _assert_same_bits(numerics.cholesky(gram), np.linalg.cholesky(gram))
+
+
+@pytest.mark.parametrize(
+    "S", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3))], ids=["singular", "zero"]
+)
+def test_kernels_raise_where_np_linalg_raises(S):
+    ones = np.ones(S.shape[0])
+    pairs = [
+        (numerics.inv, np.linalg.inv),
+        (lambda a: numerics.solve(a, ones), lambda a: np.linalg.solve(a, ones)),
+        (lambda a: numerics.solve(a, np.ones((len(a), 3))),
+         lambda a: np.linalg.solve(a, np.ones((len(a), 3)))),
+        (numerics.cholesky, np.linalg.cholesky),
+    ]
+    for kernel, reference in pairs:
+        with pytest.raises(np.linalg.LinAlgError):
+            reference(S)
+        with pytest.raises(np.linalg.LinAlgError):
+            kernel(S)
+    # Neither raises for these: slogdet gives sign 0 and -inf, QR gives an R.
+    for got, want in zip(numerics.slogdet(S), np.linalg.slogdet(S)):
+        _assert_same_bits(got, want)
+    packed = S.copy()
+    numerics.qr_in_place(packed)
+    _assert_same_bits(np.triu(packed), np.linalg.qr(S, mode="r"))

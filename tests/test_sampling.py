@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from grassmann_stream import datagen, grouse, metrics, sampling
+from grassmann_stream import datagen, grouse, metrics, numerics, sampling
 
 
 def test_full_apply_is_identity():
@@ -199,11 +199,11 @@ def test_gaussian_step_factors_only_the_basis_query(monkeypatch):
     near = inside / np.linalg.norm(inside) + 1e-3 * outside / np.linalg.norm(outside)
     calls = Counter()
     for name in ("cholesky", "inv"):
-        def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+        def counting(*args, _real=getattr(numerics, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(numerics, name, counting)
     for query, passes in ((v, 1), (near, 2)):
         calls.clear()
         op = sampling.make_gaussian(m, n, rng)
