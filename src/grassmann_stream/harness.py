@@ -104,13 +104,12 @@ class TrialSeries:
 
 @dataclass
 class ImprovementHistogram:
-    """Binned per-step similarity ratios with theory overlays.
+    """Binned per-step similarity ratios against the theory floor.
 
-    Bins split [0, 1] at bin_edges by the pre-step similarity. For each
-    bin: sample count, empirical mean ratio, its standard error, the mean
-    pre-step similarity of contributing samples, the theory factor at the
-    bin center, and the mean of per-step theory values (NaN without a
-    per-step theory function).
+    Bins split the pre-step similarity at bin_edges. For each bin: sample
+    count, empirical mean ratio, its standard error, mean pre-step
+    similarity, and theory, the mean of the steps' own theory floors. An
+    empty bin reads NaN.
     """
 
     bin_edges: np.ndarray
@@ -119,7 +118,6 @@ class ImprovementHistogram:
     std_err: np.ndarray
     mean_zeta: np.ndarray
     theory: np.ndarray
-    theory_step_mean: np.ndarray
 
 
 # A diagnosed step: v = v_par + v_perp against the basis U before it, w_par
@@ -249,27 +247,30 @@ def run_trial(config: TrialConfig) -> TrialSeries:
     )
 
 
-def default_theory_fn(config: TrialConfig):
-    """Bin-center theory overlay for the configured sampling mode.
+def _bin_edges(init: str) -> np.ndarray:
+    """20 uniform bins of [0, 1] for a random start. A perturbed start sits
+    within about d mu0 / (32 n) of zeta = 1, so its bins split
+    kappa = 1 - zeta at quarter decades, 10^(-k/4) for k = 1..24."""
+    if init == "random":
+        return np.linspace(0.0, 1.0, 21)
+    return np.concatenate(([0.0], 1.0 - 10.0 ** (-np.arange(1, 25) / 4.0), [1.0]))
 
-    For Gaussian sampling the rate depends on the largest principal
-    angle as well; the overlay assumes equal angles at the given
-    similarity, which is the optimistic extreme. Prefer a per-step
-    theory function for that case.
+
+def _mode_rate(config: TrialConfig):
+    """The expected-rate floor of config's sampling mode at (zeta, M).
+
+    Gaussian sampling takes delta = 0.25 and the largest principal angle
+    of M, kept below pi/2.
     """
+    d, m, n = config.d, config.m, config.n
     if config.op_kind == "full":
-        return lambda zeta: theory.expected_rate_full(zeta, config.d)
+        return lambda zeta, M: theory.expected_rate_full(zeta, d)
     if config.op_kind == "entrywise":
-        return lambda zeta: theory.expected_rate_missing(
-            zeta, config.d, config.m, config.n
-        ).rate
+        return lambda zeta, M: theory.expected_rate_missing(zeta, d, m, n).rate
 
-    def cs_rate(zeta: float) -> float:
-        phi = float(np.arccos(np.clip(zeta ** (1.0 / (2 * config.d)), 0.0, 1.0)))
-        phi = min(phi, np.pi / 2 - 1e-9)
-        return theory.expected_rate_cs(
-            zeta, config.d, config.m, config.n, delta=0.25, phi_d=phi
-        ).rate
+    def cs_rate(zeta: float, M: np.ndarray) -> float:
+        phi_d = min(float(np.arccos(metrics.overlap_cosines(M)[-1])), np.pi / 2 - 1e-9)
+        return theory.expected_rate_cs(zeta, d, m, n, delta=0.25, phi_d=phi_d).rate
 
     return cs_rate
 
@@ -278,7 +279,6 @@ def monte_carlo_ratio(
     config: TrialConfig,
     num_steps: int,
     num_trials: int,
-    edges: np.ndarray = np.linspace(0.0, 1.0, 21),
     theory_step_fn=None,
     warmup_targets=None,
 ) -> ImprovementHistogram:
@@ -286,25 +286,22 @@ def monte_carlo_ratio(
 
     Runs num_trials independent streams of num_steps updates each;
     skipped steps contribute nothing. config's zeta_star, max_iters and
-    diagnostics_level are not read. Each updated step records its
-    pre-step similarity zeta, its ratio and, when theory_step_fn is given,
-    theory_step_fn(zeta, phi_d). The records are binned once, at the end:
-    bin b holds edges[b] <= zeta < edges[b + 1] (20 uniform bins by
-    default), and the last bin also holds zeta = 1. edges must be 1-D
-    with at least 2 strictly increasing entries; ValueError otherwise.
-    default_theory_fn(config) is evaluated at bin centers.
+    diagnostics_level are not read. Before each step its floor
+    theory_step_fn(zeta, M) is taken at the pre-step similarity and
+    overlap M = Ubar^T U; by default it is the mode's expected rate
+    (_mode_rate). Each updated step records its zeta, its ratio and its
+    floor. The records are binned once, at the end, at the edges that
+    _bin_edges gives config.init: bin b holds edges[b] <= zeta <
+    edges[b + 1], and the last bin also holds zeta = 1.
 
     warmup_targets, when given, is cycled across trials: before the
     measured steps, each trial is advanced with at most 20,000 fully
     sampled updates until its similarity reaches the target, so the histogram
     covers similarity levels a short undersampled run could not reach.
     """
-    edges = np.array(edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
-        raise ValueError(
-            f"edges must be 1-D with 2 or more strictly increasing entries, got {edges!r}"
-        )
-    # Rows zeta, ratio and per-step theory value: 24 bytes per updated step.
+    if theory_step_fn is None:
+        theory_step_fn = _mode_rate(config)
+    # Rows zeta, ratio and per-step floor: 24 bytes per updated step.
     samples = np.empty((3, num_trials * num_steps))
     recorded = 0
     for index in range(num_trials):
@@ -316,27 +313,19 @@ def monte_carlo_ratio(
                     break
                 trial.step(sample)
         for sample in trial.stream(config.op_spec(), num_steps):
-            theory_value = np.nan
-            if theory_step_fn is not None:
-                cosines = metrics.overlap_cosines(trial.M)
             log_zeta = trial.log_zeta
+            zeta = float(np.exp(log_zeta))
+            floor = theory_step_fn(zeta, trial.M)
             report = trial.step(sample)
             if report.status is StepStatus.UPDATED and np.isfinite(log_zeta):
-                zeta = float(np.exp(log_zeta))
-                if theory_step_fn is not None:
-                    theory_value = theory_step_fn(zeta, float(np.arccos(cosines[-1])))
-                samples[:, recorded] = zeta, np.exp(trial.log_zeta - log_zeta), theory_value
+                samples[:, recorded] = zeta, np.exp(trial.log_zeta - log_zeta), floor
                 recorded += 1
 
-    theory_fn = default_theory_fn(config)
-    return ImprovementHistogram(
-        bin_edges=edges,
-        theory=np.array([theory_fn(c) for c in 0.5 * (edges[:-1] + edges[1:])]),
-        **_bin_samples(edges, *samples[:, :recorded]),
-    )
+    edges = _bin_edges(config.init)
+    return ImprovementHistogram(edges, **_bin_samples(edges, *samples[:, :recorded]))
 
 
-def _bin_samples(edges, zeta, ratio, theory_step) -> dict:
+def _bin_samples(edges, zeta, ratio, floor) -> dict:
     """The per-bin statistics of ImprovementHistogram from all records at once.
 
     A zeta outside the edges falls in the nearest end bin. Empty bins read
@@ -357,7 +346,7 @@ def _bin_samples(edges, zeta, ratio, theory_step) -> dict:
             mean_ratio=mean_ratio,
             std_err=np.sqrt(m2 / (counts - 1) / counts),
             mean_zeta=bin_mean(zeta),
-            theory_step_mean=bin_mean(theory_step),
+            theory=bin_mean(floor),
         )
 
 

@@ -133,10 +133,6 @@ def _project_out(basis: np.ndarray, W: np.ndarray, coef: np.ndarray | None = Non
     return np.subtract(W, out, out=out)
 
 
-def _column_norms(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->j", X, X))
-
-
 def _new_directions(basis: np.ndarray, W: np.ndarray):
     """N, C and R with W = basis C + N R to rounding.
 
@@ -162,21 +158,24 @@ def _new_directions(basis: np.ndarray, W: np.ndarray):
     """
     C = basis.T @ W
     X = _project_out(basis, W, C)
-    # X^T X serves the drop rule and the factorization.
+    # X^T X serves the drop rule and the factorization. As x is orthogonal
+    # to the basis, |w|^2 = |x|^2 + |c|^2 to rounding.
     gram = X.T @ X
-    tol = DROP_RTOL * _column_norms(W)
-    keep = np.sqrt(np.diagonal(gram)) > tol
+    x_sq, c_sq = np.diagonal(gram), np.einsum("ij,ij->j", C, C)
+    tol = DROP_RTOL * np.sqrt(x_sq + c_sq)
+    keep = np.sqrt(x_sq) > tol
+    # The DGKS test below: each column kept at least half its squared norm.
+    kept_half = x_sq >= c_sq
     if not keep.all():
-        X, tol, gram = X[:, keep], tol[keep], gram[np.ix_(keep, keep)]
+        X, tol, kept_half = X[:, keep], tol[keep], kept_half[keep]
+        gram = gram[np.ix_(keep, keep)]
     if X.shape[1] == 0:
         return X, C, np.zeros((0, W.shape[1]))
     N = None
     L = _cholesky(gram)
     if L is not None:
         N, R = _right_divide(X, L), L.T
-        kept_C = C[:, keep]
-        one_pass = _near_identity(L, gram) and (
-            np.diagonal(gram) >= np.einsum("ij,ij->j", kept_C, kept_C)).all()
+        one_pass = _near_identity(L, gram) and kept_half.all()
         if not one_pass:
             C2 = basis.T @ N
             X2 = _project_out(basis, N, C2)
@@ -184,7 +183,7 @@ def _new_directions(basis: np.ndarray, W: np.ndarray):
             L2 = _cholesky(gram2)
             if L2 is not None and _near_identity(L2, gram2):
                 N = _right_divide(X2, L2)
-                C[:, keep] = kept_C + C2 @ R
+                C[:, keep] += C2 @ R
                 R = L2.T @ R
             else:
                 N = None

@@ -61,21 +61,21 @@ def expected_rate_full(zeta: float, d: int) -> float:
     return 1.0 + (1.0 - zeta) / d
 
 
-def iteration_bound_full(
-    n: int, d: int, rho: float, zeta_star: float, C: float = 1.0
-) -> ComplexityBound:
+# The constant C in the expected initial similarity C (d / (n e))^d of a
+# random start; the analysis pins it only as approximately 1.
+C = 1.0
+
+
+def iteration_bound_full(n: int, d: int, rho: float, zeta_star: float) -> ComplexityBound:
     """Iterations sufficient for similarity >= zeta_star w.p. >= 1 - 2*rho.
 
     Two phases: K1 climbs from a random start to similarity 1/2, K2
-    closes the remaining gap. C is the constant in the expected initial
-    similarity; the analysis pins it only as approximately 1.
+    closes the remaining gap. The components record the module's C.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     if not 0.0 < zeta_star < 1.0:
         raise ValueError("zeta_star must lie in (0, 1)")
-    if C <= 0.0:
-        raise ValueError("C must be positive")
     log_n = math.log(n)
     tau0 = 1.0 + (math.log((1.0 - rho / 2.0) / C) + d * math.log(math.e / d)) / (
         d * log_n
@@ -293,7 +293,7 @@ def discrepancy_decay_missing(
     return factor * kappa
 
 
-def expected_zeta0(n: int, d: int, C: float = 1.0) -> float:
+def expected_zeta0(n: int, d: int) -> float:
     """Expected initial similarity of a random start: C (d / (n e))^d."""
     if d >= n:
         raise ValueError("d must be below n")

@@ -152,14 +152,15 @@ def test_criterion_05_expected_improvement_missing(capsys, m):
     # n=5000, d=10, entry-wise sampling, initialized inside the local
     # region: binned mean ratio >= 1 + (1/4)(m/n)(1-zeta)/d - 3 SE
     # over 50 trials, in at least two bins. Perturbed starts sit at
-    # zeta > 0.999, so the bins split kappa = 1 - zeta at quarter decades,
-    # 10^(-k/4) for k = 1..24.
+    # zeta > 0.999, so the harness bins them by kappa = 1 - zeta at quarter
+    # decades, 10^(-k/4) for k = 1..24.
     config = harness.TrialConfig(
         n=5000, d=10, op_kind="entrywise", m=m, init="perturbed",
         zeta_star=1 - 1e-15, max_iters=10**6, seed=105,
     )
     edges = np.concatenate(([0.0], 1.0 - 10.0 ** (-np.arange(1, 25) / 4.0), [1.0]))
-    hist = harness.monte_carlo_ratio(config, num_steps=300, num_trials=50, edges=edges)
+    hist = harness.monte_carlo_ratio(config, num_steps=300, num_trials=50)
+    assert np.array_equal(hist.bin_edges, edges)
     worst_margin = np.inf
     checked = 0
     for b in np.flatnonzero(hist.counts >= 10):
@@ -207,8 +208,8 @@ def test_criterion_06_expected_improvement_compressive(capsys, m):
         max_iters=10**6, seed=106,
     )
 
-    def step_rate(zeta, phi_d):
-        phi_d = min(phi_d, np.pi / 2 - 1e-9)
+    def step_rate(zeta, M):
+        phi_d = min(float(np.arccos(metrics.overlap_cosines(M)[-1])), np.pi / 2 - 1e-9)
         return theory.expected_rate_cs(zeta, d, m, n, delta, phi_d).rate
 
     warmups = list(np.linspace(0.03, 0.97, 25))
@@ -219,7 +220,7 @@ def test_criterion_06_expected_improvement_compressive(capsys, m):
     worst_margin = np.inf
     checked = 0
     for b in np.flatnonzero(hist.counts >= 10):
-        floor = hist.theory_step_mean[b]
+        floor = hist.theory[b]
         margin = hist.mean_ratio[b] - (floor - 3.0 * hist.std_err[b])
         worst_margin = min(worst_margin, margin)
         checked += 1

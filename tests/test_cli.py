@@ -399,6 +399,23 @@ def test_histogram_matches_monte_carlo_ratio(tmp_path):
     assert np.array_equal(rows, expected, equal_nan=True)
 
 
+def test_histogram_from_a_perturbed_start_bins_by_kappa(tmp_path):
+    # A perturbed start sits near zeta = 1: 20 uniform bins would put every
+    # step in [0.95, 1], under the floor at zeta = 0.975.
+    payload = {
+        "n": 500, "d": 5, "op_kind": "entrywise", "m": 100, "init": "perturbed",
+        "seed": 0, "monte_carlo": {"num_steps": 100, "num_trials": 5},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["histogram", "--config", _write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+    lines = (out / "histogram.csv").read_text(encoding="utf-8").splitlines()
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    populated = rows[rows[:, 2] > 0]
+    assert len(populated) >= 2
+    assert np.isfinite(populated[:, 6]).all()
+    assert populated[:, 0].min() > 0.99
+
+
 def test_sweep_caps_every_cell_at_max_iters(tmp_path, monkeypatch):
     # The shipped undersampled sweep: m = d = 20 is rank deficient and gets
     # the same cap as every other cell.

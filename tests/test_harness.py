@@ -1,5 +1,7 @@
 import dataclasses
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,7 +167,7 @@ def test_seeded_outputs_are_frozen(name):
         assert series.final_zeta == pytest.approx(final_zeta, rel=1e-12, abs=0.0)
 
 
-# bin -> (count, mean_ratio[, theory_step_mean]) of the populated bins,
+# bin -> (count, mean_ratio[, theory]) of the populated bins,
 # recorded from the harness when each function had its own loop.
 FROZEN_HISTOGRAMS = {
     "entrywise": (
@@ -188,8 +190,9 @@ FROZEN_HISTOGRAMS = {
         dict(n=60, d=4, op_kind="gaussian", m=20, seed=22),
         dict(
             num_steps=40, num_trials=3, warmup_targets=[0.3, 0.95],
-            theory_step_fn=lambda zeta, phi_d: theory.expected_rate_cs(
-                zeta, 4, 20, 60, delta=0.25, phi_d=min(phi_d, 1.5)
+            theory_step_fn=lambda zeta, M: theory.expected_rate_cs(
+                zeta, 4, 20, 60, delta=0.25,
+                phi_d=min(float(np.arccos(metrics.overlap_cosines(M)[-1])), 1.5),
             ).rate,
         ),
         {
@@ -212,11 +215,11 @@ def test_monte_carlo_ratio_is_frozen(name):
     base, kwargs, expected = FROZEN_HISTOGRAMS[name]
     hist = harness.monte_carlo_ratio(harness.TrialConfig(**base), **kwargs)
     assert {int(b) for b in np.flatnonzero(hist.counts)} == set(expected)
-    for b, (count, mean_ratio, *theory_step_mean) in expected.items():
+    for b, (count, mean_ratio, *floor) in expected.items():
         assert hist.counts[b] == count
         assert hist.mean_ratio[b] == pytest.approx(mean_ratio, rel=1e-12, abs=0.0)
-        for value in theory_step_mean:
-            assert hist.theory_step_mean[b] == pytest.approx(value, rel=1e-12, abs=0.0)
+        for value in floor:
+            assert hist.theory[b] == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 # Identity -> (samples, passed) over 100 steps at n=60, d=4, m=20, seed 23,
@@ -527,8 +530,9 @@ def test_monte_carlo_counts_consistency():
             assert 0.0 <= hist.mean_zeta[b] <= 1.0
         else:
             assert np.isnan(hist.mean_ratio[b])
-    # No per-step theory function: no per-step theory mean.
-    assert np.isnan(hist.theory_step_mean).all()
+    # The floor is the mean over a bin's steps: finite exactly where a bin
+    # has steps.
+    assert np.array_equal(np.isfinite(hist.theory), hist.counts > 0)
 
 
 def test_bin_samples_match_direct_masks():
@@ -541,7 +545,7 @@ def test_bin_samples_match_direct_masks():
     theory_step = rng.random(zeta.size)
     stats = harness._bin_samples(edges, zeta, ratio, theory_step)
     counts, mean_ratio, std_err, mean_zeta, theory_mean = (
-        stats[k] for k in ("counts", "mean_ratio", "std_err", "mean_zeta", "theory_step_mean")
+        stats[k] for k in ("counts", "mean_ratio", "std_err", "mean_zeta", "theory")
     )
     for b in range(len(edges) - 1):
         upper = zeta <= edges[b + 1] if b == len(edges) - 2 else zeta < edges[b + 1]
@@ -563,30 +567,57 @@ def test_bin_samples_match_direct_masks():
     assert counts.sum() == zeta.size
 
 
-def test_monte_carlo_ratio_bins_at_the_edges_given():
-    # Two bins split at 0.5, itself an edge of the 20 default bins, regroup
-    # the default counts of the same seeded run.
-    config = harness.TrialConfig(n=40, d=4, op_kind="entrywise", m=20, seed=8)
-    default = harness.monte_carlo_ratio(config, num_steps=60, num_trials=3)
-    halves = harness.monte_carlo_ratio(
-        config, num_steps=60, num_trials=3, edges=[0.0, 0.5, 1.0]
+@pytest.mark.parametrize("op_kind", ["full", "entrywise"])
+def test_monte_carlo_theory_is_the_rate_at_the_mean_zeta(op_kind):
+    # Both rates are affine in zeta, so the mean of the steps' floors is
+    # the rate at the bin's mean zeta, to rounding.
+    config = harness.TrialConfig(
+        n=60, d=4, op_kind=op_kind, m=None if op_kind == "full" else 20, seed=8
     )
-    assert halves.bin_edges.tolist() == [0.0, 0.5, 1.0]
-    assert halves.counts.tolist() == [default.counts[:10].sum(), default.counts[10:].sum()]
-    assert halves.theory.shape == (2,)
+    hist = harness.monte_carlo_ratio(config, num_steps=120, num_trials=3)
+    populated = np.flatnonzero(hist.counts)
+    assert populated.size >= 5
+    for b in populated:
+        if op_kind == "full":
+            rate = theory.expected_rate_full(hist.mean_zeta[b], config.d)
+        else:
+            rate = theory.expected_rate_missing(
+                hist.mean_zeta[b], config.d, config.m, config.n
+            ).rate
+        assert hist.theory[b] == pytest.approx(rate, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize(
-    "edges",
-    [[1.0, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0], [0.0, np.nan, 1.0], [0.5], [[0.0, 0.5, 1.0]]],
-    ids=["decreasing", "repeated", "nan", "one_entry", "two_dimensional"],
-)
-def test_monte_carlo_ratio_rejects_edges_that_do_not_bin(edges):
-    # Unchecked, the decreasing edges give counts [41, 109] and a mean zeta
-    # of 0.114 in the bin labelled [1.0, 0.5).
-    config = harness.TrialConfig(n=60, d=3, op_kind="full", seed=1)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        harness.monte_carlo_ratio(config, num_steps=50, num_trials=3, edges=edges)
+def test_monte_carlo_bins_follow_the_start():
+    # A random start spreads over [0, 1]; a perturbed one starts near
+    # zeta = 1 and is binned by 1 - zeta in quarter decades.
+    base = dict(n=60, d=4, op_kind="entrywise", m=20, seed=8)
+    random = harness.monte_carlo_ratio(harness.TrialConfig(**base), 20, 2)
+    assert np.array_equal(random.bin_edges, np.linspace(0.0, 1.0, 21))
+    perturbed = harness.monte_carlo_ratio(
+        harness.TrialConfig(**base, init="perturbed"), 20, 2
+    )
+    kappa = 10.0 ** (-np.arange(1, 25) / 4.0)
+    assert np.array_equal(perturbed.bin_edges, np.concatenate(([0.0], 1.0 - kappa, [1.0])))
+    assert perturbed.counts.sum() > 0 and perturbed.counts[0] == 0
+
+
+def test_readme_states_the_histogram_bins():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    text = " ".join(readme.split())
+    uniform = re.findall(r"(\d+) uniform bins of \[0, 1\] from a random start", text)
+    assert uniform
+    for k in uniform:
+        assert np.array_equal(harness._bin_edges("random"), np.linspace(0.0, 1.0, int(k) + 1))
+    decades = re.findall(
+        r"from a perturbed start, 1 - zeta at 10\^\(-k/(\d+)\) for k = 1\.\.(\d+)", text
+    )
+    assert decades
+    for per_decade, last in decades:
+        kappa = 10.0 ** (-np.arange(1, int(last) + 1) / int(per_decade))
+        expected = np.concatenate(([0.0], 1.0 - kappa, [1.0]))
+        assert np.array_equal(harness._bin_edges("perturbed"), expected)
 
 
 def test_missing_with_m_equals_n_close_to_full():

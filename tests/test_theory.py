@@ -38,8 +38,6 @@ def test_iteration_bound_full_validation():
         theory.iteration_bound_full(100, 5, 0.0, 0.99)
     with pytest.raises(ValueError):
         theory.iteration_bound_full(100, 5, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        theory.iteration_bound_full(100, 5, 0.1, 0.99, C=0.0)
 
 
 def test_heuristic_iterations_frozen():
