@@ -8,8 +8,9 @@ sampling operator.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,14 +41,23 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class StreamSample:
-    """One observation: hidden vector v, operator, and measurements x = op(v).
+    """One observation: operator op and measurements x = op(v) of the hidden
+    v = Ubar s, which ground-truth diagnostics read.
 
-    v is retained so ground-truth diagnostics stay computable.
+    An entry-wise x is rows @ s for the sampled rows = Ubar[op.indices],
+    v[op.indices] bit for bit in O(md), and v is formed on its first read.
+    Other operators measure all of v, formed with x, and have rows None.
     """
 
     op: sampling.SamplingOperator
     x: np.ndarray
-    v: np.ndarray
+    Ubar: np.ndarray = field(repr=False)
+    s: np.ndarray
+    rows: np.ndarray | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def v(self) -> np.ndarray:
+        return self.Ubar @ self.s
 
 
 @dataclass(frozen=True)
@@ -120,11 +130,18 @@ def gen_stream(
     """Yield T observations with a fresh operator and coefficients each."""
     if op_spec.m is not None and op_spec.m > truth.n:
         raise ValueError("m must not exceed the ambient dimension")
+    Ubar = truth.Ubar
     for _ in range(T):
-        v = truth.Ubar @ gen_coefficients(truth.d, rng)
+        s = gen_coefficients(truth.d, rng)
         op = op_spec.draw(truth.n, rng)
-        x = sampling.apply(op, v)
-        yield StreamSample(op=op, x=x, v=v)
+        if isinstance(op, sampling.EntrywiseSampling):
+            rows = Ubar[op.indices]
+            yield StreamSample(op, rows @ s, Ubar, s, rows)
+        else:
+            v = Ubar @ s
+            sample = StreamSample(op, sampling.apply(op, v), Ubar, s)
+            sample.__dict__["v"] = v  # v's cached value, already formed
+            yield sample
 
 
 def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:

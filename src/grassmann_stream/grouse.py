@@ -42,8 +42,9 @@ class StepStatus(enum.Enum):
 
 @dataclass
 class StepReport:
-    """Per-iteration diagnostics, with the B = A U the step solved against
-    and its lifted residual r = A^T (x - B w), None if it stopped before them.
+    """Per-iteration diagnostics, with the B = A U the step solved against,
+    its residual r_tilde = x - B w and the lifted r = A^T r_tilde, None if it
+    stopped before them.
 
     When status is UPDATED, theta = arctan(norm_r / norm_p) and the basis U
     before the step gained outer(U @ update_span + (sin theta / norm_r) r,
@@ -60,6 +61,7 @@ class StepReport:
     reorthonormalized: bool = False
     B: np.ndarray | None = field(default=None, repr=False)
     r: np.ndarray | None = field(default=None, repr=False)
+    r_tilde: np.ndarray | None = field(default=None, repr=False)
     update_coeffs: np.ndarray | None = field(default=None, repr=False)
     update_span: np.ndarray | None = field(default=None, repr=False)
 
@@ -166,7 +168,7 @@ def step(
     if norm_r <= DEGENERACY_RTOL * norm_x:
         return StepReport(
             status=StepStatus.SKIPPED_ZERO_RESIDUAL, w=w, norm_p=norm_p,
-            norm_r_tilde=norm_r_tilde, norm_r=norm_r, B=B, r=r,
+            norm_r_tilde=norm_r_tilde, norm_r=norm_r, B=B, r=r, r_tilde=r_tilde,
         )
 
     if theta is None:
@@ -176,7 +178,7 @@ def step(
     b = np.sin(theta) / norm_r
     report = StepReport(
         status=StepStatus.UPDATED, w=w, norm_p=norm_p, norm_r_tilde=norm_r_tilde,
-        norm_r=norm_r, theta=theta, B=B, r=r, update_coeffs=coeffs,
+        norm_r=norm_r, theta=theta, B=B, r=r, r_tilde=r_tilde, update_coeffs=coeffs,
         update_span=(cos_theta - 1.0) / norm_p * w,
     )
     # Only an entry-wise r is sparse; full and Gaussian steps stay dense.
@@ -193,9 +195,9 @@ def step(
         rows = op.indices
         # A repeated row gathers the same summed r twice and is written
         # twice with the same value.
-        state.V[rows] += np.einsum("i,j->ij", b * r[rows], row)
-        state.K -= np.einsum("i,j->ij", (1.0 - cos_theta) * (state.K @ coeffs), coeffs)
-        state.K_inv += np.einsum("i,j->ij", coeffs, row - c_K_inv)
+        state.V[rows] += np.multiply.outer(b * r[rows], row)
+        state.K -= np.multiply.outer((1.0 - cos_theta) * (state.K @ coeffs), coeffs)
+        state.K_inv += np.multiply.outer(coeffs, row - c_K_inv)
         state.cond_bound /= cos_theta
     else:
         _fold(state)
@@ -223,11 +225,16 @@ def _fold(state: GrouseState) -> None:
 
 
 def reorthonormalize(state: GrouseState) -> None:
-    """Replace the basis with a freshly orthonormalized copy of itself.
+    """Replace the basis V K with (V K) R^-1, for the R of its Householder QR.
 
     The update rule preserves orthonormality analytically; this only
-    removes accumulated floating-point drift. The span is unchanged.
+    removes accumulated floating-point drift. V K enters within about
+    1e-12 of orthonormal, so cond(V K) is 1 to that order and V K R^-1,
+    which loses orthogonality as eps cond(V K)^2, is np.linalg.qr's Q to
+    rounding, signs and span included, without forming Q.
     """
     _fold(state)
-    state.V = numerics.orthonormalize(state.V)
+    A = state.V.copy()
+    numerics.qr_in_place(A)
+    state.V = state.V @ numerics.inv(np.triu(A[: state.d]))
     state.steps_since_reorth = 0

@@ -156,13 +156,16 @@ class _Trial:
 
     def step(self, sample: datagen.StreamSample, diagnose: bool = False):
         """grouse.step on sample; with diagnose, also sets self.diagnosis from
-        the step's B and r before M moves (v_par lies where A U revealed)."""
+        the step's B and r before M moves (v_par lies where A U revealed).
+        Ubar^T r is formed once, for Delta and the update of M; for an
+        entry-wise r = A^T r_tilde it is rows^T r_tilde, in O(md)."""
         U = self.state.U if diagnose else None
         Ubar = self.truth.Ubar
         report = grouse.step(self.state, sample.op, sample.x)
-        # Ubar^T r, formed once for Delta and the update of M.
-        wanted = report.r is not None and (diagnose or report.update_coeffs is not None)
-        Ubar_r = Ubar.T @ report.r if wanted else None
+        Ubar_r = None
+        if report.r is not None and (diagnose or report.update_coeffs is not None):
+            rows = sample.rows
+            Ubar_r = Ubar.T @ report.r if rows is None else rows.T @ report.r_tilde
         if diagnose:
             v_par, v_perp = numerics.project(U, sample.v)
             w_par, delta = None, np.nan
@@ -175,7 +178,7 @@ class _Trial:
             self.diagnosis = Diagnosis(U, v_par, v_perp, w_par, delta)
         if report.update_coeffs is not None:
             change = report.overlap_change(self.M, Ubar_r)
-            self.M += np.einsum("i,j->ij", change, report.update_coeffs)
+            self.M += np.multiply.outer(change, report.update_coeffs)
         self._track()
         self.update_det = (self.sign, self.logdet)
         if report.reorthonormalized:
@@ -286,13 +289,13 @@ def monte_carlo_ratio(
 
     Runs num_trials independent streams of num_steps updates each;
     skipped steps contribute nothing. config's zeta_star, max_iters and
-    diagnostics_level are not read. Before each step its floor
-    theory_step_fn(zeta, M) is taken at the pre-step similarity and
-    overlap M = Ubar^T U; by default it is the mode's expected rate
-    (_mode_rate). Each updated step records its zeta, its ratio and its
-    floor. The records are binned once, at the end, at the edges that
-    _bin_edges gives config.init: bin b holds edges[b] <= zeta <
-    edges[b + 1], and the last bin also holds zeta = 1.
+    diagnostics_level are not read. Each updated step records its
+    pre-step zeta, its ratio and its floor theory_step_fn(zeta, M) at the
+    pre-step overlap M = Ubar^T U (a copy, as the step moves M in place);
+    by default the floor is the mode's expected rate (_mode_rate). A
+    skipped step takes no floor. The records are binned once, at the end,
+    at the edges that _bin_edges gives config.init: bin b holds edges[b]
+    <= zeta < edges[b + 1], and the last bin also holds zeta = 1.
 
     warmup_targets, when given, is cycled across trials: before the
     measured steps, each trial is advanced with at most 20,000 fully
@@ -313,12 +316,12 @@ def monte_carlo_ratio(
                     break
                 trial.step(sample)
         for sample in trial.stream(config.op_spec(), num_steps):
-            log_zeta = trial.log_zeta
-            zeta = float(np.exp(log_zeta))
-            floor = theory_step_fn(zeta, trial.M)
+            log_zeta, M = trial.log_zeta, trial.M.copy()
             report = trial.step(sample)
             if report.status is StepStatus.UPDATED and np.isfinite(log_zeta):
-                samples[:, recorded] = zeta, np.exp(trial.log_zeta - log_zeta), floor
+                zeta = float(np.exp(log_zeta))
+                ratio = np.exp(trial.log_zeta - log_zeta)
+                samples[:, recorded] = zeta, ratio, theory_step_fn(zeta, M)
                 recorded += 1
 
     edges = _bin_edges(config.init)
@@ -486,10 +489,10 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         if report.status is not StepStatus.UPDATED:
             continue
 
-        r_tilde = sample.x - report.B @ report.w
         note(
             "residual_orthogonal_to_sampled_basis",
-            np.linalg.norm(report.B.T @ r_tilde) / max(np.linalg.norm(sample.x), 1e-300),
+            np.linalg.norm(report.B.T @ report.r_tilde)
+            / max(np.linalg.norm(sample.x), 1e-300),
         )
 
         # The determinant across the rank-one update alone, before any

@@ -2,9 +2,12 @@
 
 Everything here operates on plain float64 numpy arrays. An "orthonormal
 basis" is an n x d array whose columns satisfy ||U^T U - I||_F <=
-ORTHONORMAL_TOL. The package builds its bases through
-:func:`orthonormalize` or ``datagen.perturb_within_region``, and
-``grouse.GrouseState`` checks the contract for the basis it is given.
+ORTHONORMAL_TOL. The package builds its truths and starts, whose input
+may be ill conditioned, through :func:`orthonormalize` (the Q of a
+Householder QR) or ``datagen.perturb_within_region``.
+``grouse.GrouseState`` checks the contract for the basis it is given, and
+``grouse.reorthonormalize`` turns a basis that meets it into V R^-1 with
+the R of :func:`qr_in_place`.
 """
 
 from __future__ import annotations
@@ -72,7 +75,9 @@ def least_squares(B: np.ndarray, x: np.ndarray) -> np.ndarray:
             f"{B.shape[0]} rows cannot determine {B.shape[1]} coefficients"
         )
     d = B.shape[1]
-    R_Bx = np.column_stack((B, x))
+    rhs = x.reshape(B.shape[0], -1)
+    R_Bx = np.empty((B.shape[0], d + rhs.shape[1]))
+    R_Bx[:, :d], R_Bx[:, d:] = B, rhs
     qr_in_place(R_Bx)
     R, Qt_x = R_Bx[:d, :d], R_Bx[:d, d:]
     # In these d rows the reflectors lie below R's diagonal only; Q^T x is above it.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grassmann_stream import datagen, metrics, numerics
+from grassmann_stream import datagen, grouse, metrics, numerics
 
 
 def test_dense_truth_orthonormal():
@@ -48,6 +48,28 @@ def test_stream_applies_operator():
     for sample in datagen.gen_stream(truth, datagen.OpSpec("entrywise", 15), 20, rng):
         assert sample.x.shape == (15,)
         assert np.array_equal(sample.x, sample.v[sample.op.indices])
+
+
+@pytest.mark.parametrize("n", [300, 2000, 32_000])
+def test_entrywise_stream_measures_the_sampled_rows_bit_for_bit(n):
+    # x = Ubar[idx] s costs O(md) and must be the bits of (Ubar s)[idx].
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed])
+        truth = datagen.gen_dense_truth(n, 20, rng)
+        for sample in datagen.gen_stream(truth, datagen.OpSpec("entrywise", 100), 20, rng):
+            idx = sample.op.indices
+            assert np.array_equal(sample.x, (truth.Ubar @ sample.s)[idx])
+            assert np.array_equal(sample.rows, truth.Ubar[idx])
+
+
+def test_entrywise_v_read_after_the_step_is_ubar_s():
+    rng = np.random.default_rng(12)
+    truth = datagen.gen_dense_truth(200, 5, rng)
+    state = grouse.init_random(200, 5, rng)
+    for sample in datagen.gen_stream(truth, datagen.OpSpec("entrywise", 30), 5, rng):
+        grouse.step(state, sample.op, sample.x)
+        assert np.array_equal(sample.v, truth.Ubar @ sample.s)
+        assert sample.v is sample.v
 
 
 def test_stream_seed_determinism():

@@ -214,6 +214,44 @@ def test_rounding_drift_before_each_reorthonormalization(monkeypatch):
     assert max(drifts + fold_drifts) <= 1e-12
 
 
+@pytest.mark.parametrize("n, d", [(2000, 20), (300, 8), (100, 1)])
+@pytest.mark.parametrize("drift", [1e-12, 0.99 * numerics.ORTHONORMAL_TOL])
+def test_reorthonormalization_is_householder_q_to_rounding(n, d, drift):
+    # A basis drifted to 1e-12 (the worst the steps leave, see above) and
+    # to the 1e-10 contract. V R^-1 must be np.linalg.qr's Q to rounding,
+    # with its column signs and V's span, and orthonormal to rounding.
+    #
+    # The bound. Householder QR gives the exact R of V + dV, V + dV = Q R
+    # with Q orthonormal; inverting R and the product V R^-1 round too. So
+    # the computed V R^-1 is Q + E, E = Q R dX - dV R^-1 + dM to first
+    # order, with dX the error of R^-1 and dM that of the product, and
+    # ||Q^T Q - I||_F <= 2 ||E||_F + ||E||_F^2. Each of the d columns of
+    # dV, R dX and dM is a rounding error of k-term inner products, k = n
+    # for dV and dM and k = d for R dX, which is about sqrt(k) eps
+    # (Higham & Mary, SIAM J. Sci. Comput. 41(5), 2019), scaled by
+    # ||R^-1||_2 or ||R||_2 ||R^-1||_2 <= cond(V). Hence
+    # ||E||_F <= (sqrt(n) + 2 sqrt(d)) sqrt(d) eps cond(V)^2 up to a
+    # constant, taken as 2 by absorbing ||E||_F^2. The explicit Q of
+    # np.linalg.qr meets the same bound.
+    rng = np.random.default_rng(n + d)
+    U = numerics.orthonormalize(rng.standard_normal((n, d)))
+    N = rng.standard_normal((n, d))
+    V = U + 1e-12 * drift / numerics.orthonormality_drift(U + 1e-12 * N) * N
+    assert drift / 2 <= numerics.orthonormality_drift(V) <= numerics.ORTHONORMAL_TOL
+    sv = np.linalg.svd(V, compute_uv=False)
+    eps = np.finfo(float).eps
+    bound = 2 * (np.sqrt(n) + 2 * np.sqrt(d)) * np.sqrt(d) * eps * (sv[0] / sv[-1]) ** 2
+    state = grouse.GrouseState(U=V)
+    grouse.reorthonormalize(state)
+    Q, Q_householder = state.V, np.linalg.qr(V)[0]
+    assert state.K is None and state.steps_since_reorth == 0
+    assert numerics.orthonormality_drift(Q) <= bound
+    assert numerics.orthonormality_drift(Q_householder) <= bound
+    assert np.linalg.norm(Q - Q_householder) <= 2 * bound
+    assert np.all(np.einsum("ij,ij->j", Q, Q_householder) > 0.5)
+    assert np.linalg.norm(V - Q @ (Q.T @ V)) <= bound
+
+
 def test_determinism():
     def run(seed):
         rng = np.random.default_rng(seed)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grassmann_stream import grouse, harness, metrics, numerics, sampling, theory
+from grassmann_stream import datagen, grouse, harness, metrics, numerics, sampling, theory
 
 
 def test_config_validation():
@@ -89,6 +89,26 @@ def test_run_trial_counts_steps_at_every_level():
     assert none.records == {}
     assert none.step_counts == expected
     assert none.reorthonormalizations == basic.reorthonormalizations > 0
+
+
+def test_undiagnosed_entrywise_trial_never_forms_v(monkeypatch):
+    # An entry-wise stream measures x from the sampled rows of Ubar; the
+    # n-long v = Ubar s is formed only where a diagnosis reads it.
+    formed = []
+    real_v = datagen.StreamSample.v
+
+    def counting_v(sample):
+        formed.append(None)
+        return real_v.func(sample)
+
+    monkeypatch.setattr(datagen.StreamSample, "v", property(counting_v))
+    base = dict(n=300, d=8, op_kind="entrywise", m=40, max_iters=150, seed=12)
+    for level in ("none", "basic"):
+        series = harness.run_trial(harness.TrialConfig(**base, diagnostics_level=level))
+        assert series.reorthonormalizations > 0
+    assert formed == []
+    harness.run_trial(harness.TrialConfig(**base, diagnostics_level="full"))
+    assert len(formed) == 150
 
 
 def test_run_trial_reorthonormalizes_only_on_the_cadence():
@@ -401,6 +421,23 @@ def test_monte_carlo_ratio_takes_no_svd_per_step(monkeypatch):
     assert hist.counts.sum() > 0
     # One SVD per step would make 200 calls; allow one fallback per trial.
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("op_kind, m", [("gaussian", 3), ("gaussian", 20), ("entrywise", 20)])
+def test_monte_carlo_ratio_takes_the_floor_of_updated_steps_only(op_kind, m):
+    # m = 3 < d = 4 leaves every Gaussian step rank deficient: no step
+    # records, so no floor may be evaluated.
+    config = harness.TrialConfig(n=60, d=4, op_kind=op_kind, m=m, seed=21)
+    calls = []
+    mode_rate = harness._mode_rate(config)
+
+    def counting_rate(zeta, M):
+        calls.append(None)
+        return mode_rate(zeta, M)
+
+    hist = harness.monte_carlo_ratio(config, 100, 2, theory_step_fn=counting_rate)
+    assert len(calls) == hist.counts.sum()
+    assert (len(calls) > 0) == (m > config.d)
 
 
 def test_diagnostics_levels():
@@ -755,7 +792,8 @@ def test_verify_catches_a_wrong_overlap_change(monkeypatch, mutant):
 
 def test_verified_step_forms_each_product_once(monkeypatch):
     # One verified step in each mode: A U and the lifted residual once, in
-    # the step, A v once in the stream and A v_par once, one projection,
+    # the step, A v once in the stream (an entry-wise stream takes x from
+    # the sampled rows of Ubar instead) and A v_par once, one projection,
     # one coefficient split and one Delta.
     calls = _count_calls(
         monkeypatch,
@@ -771,8 +809,8 @@ def test_verified_step_forms_each_product_once(monkeypatch):
         name = "full_data_exact_ratio" if kind == "full" else "schur_determinant_identity"
         assert report["identities"][name]["samples"] == 1, kind
         assert calls == {
-            "restrict_basis": 1, "adjoint": 1, "apply": 2, "project": 1,
-            "coefficient_split": 1, "delta_term": 1,
+            "restrict_basis": 1, "adjoint": 1, "apply": 1 if kind == "entrywise" else 2,
+            "project": 1, "coefficient_split": 1, "delta_term": 1,
         }, kind
 
 
