@@ -234,7 +234,8 @@ def _cmd_verify(plan, args) -> int:
     # n/a: an identity that does not apply to the sampling mode.
     text = [
         f"{name}: max_violation={_fmt(res['max_violation'])} tol={_fmt(res['tolerance'])} "
-        + ("VIOLATED" if not res["passed"] else "UNSAMPLED" if name in unsampled
+        + (f"VIOLATED at t={res['worst_step']}" if not res["passed"]
+           else "UNSAMPLED" if name in unsampled
            else "ok" if res["samples"] else "n/a")
         for name, res in report["identities"].items()
     ]

@@ -43,13 +43,13 @@ class StepStatus(enum.Enum):
 @dataclass
 class StepReport:
     """Per-iteration diagnostics, with the B = A U the step solved against,
-    its residual r_tilde = x - B w and the lifted r = A^T r_tilde, None if it
-    stopped before them.
+    the Householder QR of it that gave w, its residual r_tilde = x - B w and
+    the lifted r = A^T r_tilde, None if it stopped before them.
 
     When status is UPDATED, theta = arctan(norm_r / norm_p) and the basis U
     before the step gained outer(U @ update_span + (sin theta / norm_r) r,
     update_coeffs); skipped steps leave it untouched. No step writes into B,
-    r or an array state.U returned.
+    qr, r or an array state.U returned.
     """
 
     status: StepStatus
@@ -60,6 +60,7 @@ class StepReport:
     theta: float = 0.0
     reorthonormalized: bool = False
     B: np.ndarray | None = field(default=None, repr=False)
+    qr: numerics.HouseholderQR | None = field(default=None, repr=False)
     r: np.ndarray | None = field(default=None, repr=False)
     r_tilde: np.ndarray | None = field(default=None, repr=False)
     update_coeffs: np.ndarray | None = field(default=None, repr=False)
@@ -151,13 +152,13 @@ def step(
     if state.K is not None:
         B = B @ state.K
     try:
-        w = numerics.least_squares(B, x)
+        w, qr = numerics.least_squares(B, x)
     except RankDeficient:
         return StepReport(status=StepStatus.SKIPPED_RANK_DEFICIENT, B=B)
 
     norm_w = math.sqrt(w @ w)
     if norm_w <= DEGENERACY_RTOL * norm_x:
-        return StepReport(status=StepStatus.SKIPPED_ZERO_PROJECTION, w=w, B=B)
+        return StepReport(status=StepStatus.SKIPPED_ZERO_PROJECTION, w=w, B=B, qr=qr)
 
     r_tilde = x - B @ w
     r = sampling.adjoint(op, r_tilde)
@@ -168,7 +169,7 @@ def step(
     if norm_r <= DEGENERACY_RTOL * norm_x:
         return StepReport(
             status=StepStatus.SKIPPED_ZERO_RESIDUAL, w=w, norm_p=norm_p,
-            norm_r_tilde=norm_r_tilde, norm_r=norm_r, B=B, r=r, r_tilde=r_tilde,
+            norm_r_tilde=norm_r_tilde, norm_r=norm_r, B=B, qr=qr, r=r, r_tilde=r_tilde,
         )
 
     if theta is None:
@@ -178,8 +179,8 @@ def step(
     b = np.sin(theta) / norm_r
     report = StepReport(
         status=StepStatus.UPDATED, w=w, norm_p=norm_p, norm_r_tilde=norm_r_tilde,
-        norm_r=norm_r, theta=theta, B=B, r=r, r_tilde=r_tilde, update_coeffs=coeffs,
-        update_span=(cos_theta - 1.0) / norm_p * w,
+        norm_r=norm_r, theta=theta, B=B, qr=qr, r=r, r_tilde=r_tilde,
+        update_coeffs=coeffs, update_span=(cos_theta - 1.0) / norm_p * w,
     )
     # Only an entry-wise r is sparse; full and Gaussian steps stay dense.
     if isinstance(op, sampling.EntrywiseSampling) and cos_theta * COND_LIMIT > state.cond_bound:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -120,10 +121,11 @@ class ImprovementHistogram:
     theory: np.ndarray
 
 
-# A diagnosed step: v = v_par + v_perp against the basis U before it, w_par
-# for A v_par against the step's B (None without a w) and Delta against M
-# before the step (NaN also without an r, or when M is singular).
-Diagnosis = collections.namedtuple("Diagnosis", "U v_par v_perp w_par delta")
+# A diagnosed step, against the basis U before it: U^T v, the split
+# v = v_par + v_perp, U^T v_perp, w_par for A v_par against the step's B
+# (None without a w) and Delta against M before the step (NaN also without
+# an r, or when M is singular).
+Diagnosis = collections.namedtuple("Diagnosis", "U_v v_par v_perp U_v_perp w_par delta")
 
 
 class _Trial:
@@ -155,11 +157,19 @@ class _Trial:
         return datagen.gen_stream(self.truth, spec, num_steps, self.rng)
 
     def step(self, sample: datagen.StreamSample, diagnose: bool = False):
-        """grouse.step on sample; with diagnose, also sets self.diagnosis from
-        the step's B and r before M moves (v_par lies where A U revealed).
-        Ubar^T r is formed once, for Delta and the update of M; for an
-        entry-wise r = A^T r_tilde it is rows^T r_tilde, in O(md)."""
-        U = self.state.U if diagnose else None
+        """grouse.step on sample; with diagnose, also sets self.diagnosis.
+
+        The diagnosis's products with U = V K are taken from V and K before
+        the step, which may write the sampled rows of V in place, in O(nd);
+        U itself is never formed. Its split of the coefficients reuses the
+        step's factorization of B (v_par lies where A U revealed), and Delta
+        the step's r and M before it moves. Ubar^T r is formed once, for
+        Delta and the update of M; for an entry-wise r = A^T r_tilde it is
+        rows^T r_tilde, in O(md)."""
+        if diagnose:
+            V, K = self.state.V, self.state.K
+            U_v, v_par, v_perp = numerics.project(V, sample.v, K)
+            U_v_perp = V.T @ v_perp if K is None else K.T @ (V.T @ v_perp)
         Ubar = self.truth.Ubar
         report = grouse.step(self.state, sample.op, sample.x)
         Ubar_r = None
@@ -167,15 +177,14 @@ class _Trial:
             rows = sample.rows
             Ubar_r = Ubar.T @ report.r if rows is None else rows.T @ report.r_tilde
         if diagnose:
-            v_par, v_perp = numerics.project(U, sample.v)
             w_par, delta = None, np.nan
             if report.w is not None:
                 x_par = sampling.apply(sample.op, v_par)
-                with contextlib.suppress(numerics.RankDeficient, theory.SingularOverlap):
-                    w_par, w_perp = theory.coefficient_split(report.B, sample.x, x_par)
-                    if report.r is not None:
+                w_par, w_perp = theory.coefficient_split(report.qr, sample.x, x_par)
+                if report.r is not None:
+                    with contextlib.suppress(theory.SingularOverlap):
                         delta = theory.delta_term(self.M, Ubar_r, w_perp)
-            self.diagnosis = Diagnosis(U, v_par, v_perp, w_par, delta)
+            self.diagnosis = Diagnosis(U_v, v_par, v_perp, U_v_perp, w_par, delta)
         if report.update_coeffs is not None:
             change = report.overlap_change(self.M, Ubar_r)
             self.M += np.multiply.outer(change, report.update_coeffs)
@@ -425,38 +434,50 @@ INVARIANT_TOLERANCES = {
 }
 
 
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm of a contiguous vector, bit for bit: sqrt(a @ a)."""
+    return math.sqrt(a @ a)
+
+
 def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
     """Check every deterministic per-step identity along one stream.
 
     The stream runs num_steps steps; config's zeta_star, max_iters and
     diagnostics_level are not read. Returns {"passed": bool,
-    "identities": {name: {max_violation, tolerance, passed, samples}},
-    "unsampled": [name, ...]}. Identities that do not apply to the
-    configured sampling mode report zero samples. One that applies and has
-    none is listed in "unsampled" and fails the stream: a stream whose
-    steps never reach an identity has not checked it.
+    "identities": {name: {max_violation, tolerance, passed, samples,
+    worst_step}}, "unsampled": [name, ...]}. max_violation is the largest
+    violation, or 0 when none is positive, and worst_step the step t it came
+    at, None without samples (a NaN violation is never the largest).
+    Streams are prefix-consistent, so num_steps = worst_step + 1 replays it.
+    Identities that do not apply to the configured sampling mode report
+    zero samples. One that applies and has none is listed in "unsampled"
+    and fails the stream: a stream whose steps never reach an identity has
+    not checked it.
     """
     trial = _Trial(config)
     Ubar = trial.truth.Ubar
     overlap_tol = INVARIANT_TOLERANCES["truth_overlap_of_residual"]
     perp_rounding = (config.d + 1) * np.sqrt(config.n) * np.finfo(float).eps
-    worst = {name: 0.0 for name in INVARIANT_TOLERANCES}
+    # The largest violation of each identity and the step t it came at.
+    largest = {name: (-math.inf, None) for name in INVARIANT_TOLERANCES}
     samples = {name: 0 for name in INVARIANT_TOLERANCES}
 
     def note(name, violation):
-        worst[name] = max(worst[name], float(violation))
+        violation = float(violation)
+        if violation > largest[name][0]:
+            largest[name] = (violation, t)
         samples[name] += 1
 
-    for sample in trial.stream(config.op_spec(), num_steps):
+    for t, sample in enumerate(trial.stream(config.op_spec(), num_steps)):
         sign_before, logdet_before = trial.sign, trial.logdet
         cosines_before = metrics.overlap_cosines(trial.M)
         zeta_before = float(np.exp(trial.log_zeta))
 
         report = trial.step(sample, diagnose=True)
-        U_before, v_par, v_perp, w_par, delta = trial.diagnosis
-        norm_v = max(float(np.linalg.norm(sample.v)), 1e-300)
-        norm_v_par = float(np.linalg.norm(v_par))
-        norm_v_perp = float(np.linalg.norm(v_perp))
+        U_v, v_par, v_perp, U_v_perp, w_par, delta = trial.diagnosis
+        norm_v = max(_norm(sample.v), 1e-300)
+        norm_v_par = _norm(v_par)
+        norm_v_perp = _norm(v_perp)
 
         # Identities independent of the update outcome.
         frob = float(np.sum(1.0 - cosines_before**2))
@@ -472,27 +493,24 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
         # sin(phi_d) ||v_perp|| by at most that times ||v||, as sin(phi_d)
         # >= ||v_perp|| / ||v||. The unmeasured terms get
         # (d + 1) sqrt(n) eps ||v||.
-        allowance = 2.0 * np.linalg.norm(U_before.T @ v_perp) + perp_rounding * norm_v
+        allowance = 2.0 * _norm(U_v_perp) + perp_rounding * norm_v
         if allowance < overlap_tol * norm_v_perp:
             sin_phi_d = float(np.sqrt(max(0.0, 1.0 - cosines_before[-1] ** 2)))
-            overlap = float(np.linalg.norm(Ubar.T @ v_perp))
+            overlap = _norm(Ubar.T @ v_perp)
             note(
                 "truth_overlap_of_residual",
                 (overlap - sin_phi_d * norm_v_perp) / norm_v_perp,
             )
+        # ||U w_par - v_par|| = ||w_par - U^T v|| for an orthonormal U.
         if w_par is not None:
-            note(
-                "projection_matches_truth_component",
-                np.linalg.norm(U_before @ w_par - v_par) / norm_v,
-            )
+            note("projection_matches_truth_component", _norm(w_par - U_v) / norm_v)
 
         if report.status is not StepStatus.UPDATED:
             continue
 
         note(
             "residual_orthogonal_to_sampled_basis",
-            np.linalg.norm(report.B.T @ report.r_tilde)
-            / max(np.linalg.norm(sample.x), 1e-300),
+            _norm(report.B.T @ report.r_tilde) / max(_norm(sample.x), 1e-300),
         )
 
         # The determinant across the rank-one update alone, before any
@@ -516,15 +534,17 @@ def verify_step_invariants(config: TrialConfig, num_steps: int) -> dict:
             bound = theory.step_lower_bound_undersampled(norm_p, norm_rt, norm_r, delta)
             note("undersampled_lower_bound", bound - zeta_ratio)
 
-    identities = {
-        name: {
-            "max_violation": worst[name],
+    identities = {}
+    for name, tol in INVARIANT_TOLERANCES.items():
+        violation, step = largest[name]
+        worst = max(violation, 0.0)
+        identities[name] = {
+            "max_violation": worst,
             "tolerance": tol,
-            "passed": worst[name] <= tol,
+            "passed": worst <= tol,
             "samples": samples[name],
+            "worst_step": step,
         }
-        for name, tol in INVARIANT_TOLERANCES.items()
-    }
     if config.op_kind == "full":
         not_applicable = {"schur_determinant_identity", "undersampled_lower_bound"}
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -50,12 +51,31 @@ def orthonormalize(M: np.ndarray) -> np.ndarray:
     return Q
 
 
-def least_squares(B: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Unique minimizer w of ||B w - x||_2 via one QR factorization of [B x].
+class HouseholderQR(NamedTuple):
+    """The Householder QR of B = Q R that a least-squares solve made, kept
+    for reuse. raw is [B x] as :func:`qr_in_place` left it and tau the
+    scalar factors it returned: B's d reflectors lie below the diagonal of
+    raw's first d columns. R is B's d x d triangular factor, a copy, so
+    that the reflectors survive."""
+
+    raw: np.ndarray
+    tau: np.ndarray
+    R: np.ndarray
+
+    def Q(self) -> np.ndarray:
+        """B's m x d orthonormal factor, formed from the reflectors as
+        np.linalg.qr forms it."""
+        d = self.R.shape[0]
+        return qr_reduced(self.raw[:, :d], self.tau[:d])
+
+
+def least_squares(B: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, HouseholderQR]:
+    """Unique minimizer w of ||B w - x||_2 via one QR factorization of [B x],
+    returned with that factorization, so that a caller can solve against B
+    again (theory.coefficient_split) without a second QR or rank test.
 
     Its triangular factor holds the R of B = Q R in its leading d x d
-    block and Q^T x in its trailing columns. x may hold several right-hand
-    sides as columns; w then has one column per right-hand side.
+    block and Q^T x in its trailing column.
 
     The QR route keeps the error proportional to cond(B), which
     matters when B is a sampled basis with barely more rows than columns.
@@ -68,22 +88,21 @@ def least_squares(B: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     B = np.asarray(B, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if B.ndim != 2 or B.shape[0] != x.shape[0]:
+    if B.ndim != 2 or x.shape != B.shape[:1]:
         raise ValueError(f"shape mismatch: B {B.shape}, x {x.shape}")
     if B.shape[0] < B.shape[1]:
         raise RankDeficient(
             f"{B.shape[0]} rows cannot determine {B.shape[1]} coefficients"
         )
     d = B.shape[1]
-    rhs = x.reshape(B.shape[0], -1)
-    R_Bx = np.empty((B.shape[0], d + rhs.shape[1]))
-    R_Bx[:, :d], R_Bx[:, d:] = B, rhs
-    qr_in_place(R_Bx)
-    R, Qt_x = R_Bx[:d, :d], R_Bx[:d, d:]
+    raw = np.empty((B.shape[0], d + 1))
+    raw[:, :d], raw[:, d] = B, x
+    tau = qr_in_place(raw)
     # In these d rows the reflectors lie below R's diagonal only; Q^T x is above it.
+    R = raw[:d, :d].copy()
     R[_strictly_lower(d)] = 0.0
     _check_full_rank(R, RANK_RTOL, "least-squares matrix is numerically rank deficient")
-    return solve(R, Qt_x if x.ndim == 2 else Qt_x[:, 0])
+    return solve(R, raw[:d, d]), HouseholderQR(raw, tau, R)
 
 
 @functools.lru_cache(maxsize=64)
@@ -112,15 +131,24 @@ def _check_full_rank(R: np.ndarray, rank_rtol: float, message: str) -> None:
         raise RankDeficient(message)
 
 
-def project(U: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split v into its component in span(U) and the orthogonal remainder.
+def project(
+    V: np.ndarray, v: np.ndarray, K: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split v into its component in span(U) and the orthogonal remainder,
+    for U = V, or U = V K when K is given.
 
-    U must have orthonormal columns. Returns (v_par, v_perp) with
-    v_par + v_perp == v exactly.
+    U must have orthonormal columns. Returns (U^T v, v_par, v_perp) with
+    v_par = U (U^T v) and v_par + v_perp == v exactly. U itself is never
+    formed: U^T v = K^T (V^T v) and v_par = V (K U^T v), in O(nd + d^2).
     """
     v = np.asarray(v, dtype=np.float64)
-    v_par = U @ (U.T @ v)
-    return v_par, v - v_par
+    U_v = V.T @ v
+    if K is None:
+        v_par = V @ U_v
+    else:
+        U_v = K.T @ U_v
+        v_par = V @ (K @ U_v)
+    return U_v, v_par, v - v_par
 
 
 # The small dense calls of a step, each the LAPACK gufunc np.linalg calls,
@@ -140,11 +168,19 @@ def _lapack_errstate(message: str):
 
 
 @_lapack_errstate("Incorrect argument found while performing QR factorization")
-def qr_in_place(a: np.ndarray) -> None:
+def qr_in_place(a: np.ndarray) -> np.ndarray:
     """Householder QR of a float64 matrix a, written over a as LAPACK's
     geqrf leaves it: R on and above the diagonal, the reflectors below.
-    np.triu(a[:min(a.shape)]) is the R of np.linalg.qr with mode "r"."""
-    _umath_linalg.qr_r_raw(a, signature="d->d")
+    Returns the reflectors' scalar factors tau. np.triu(a[:min(a.shape)])
+    is the R of np.linalg.qr with mode "r"."""
+    return _umath_linalg.qr_r_raw(a, signature="d->d")
+
+
+@_lapack_errstate("Incorrect argument found while performing QR factorization")
+def qr_reduced(a: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The reduced Q of a matrix that :func:`qr_in_place` factored into a,
+    with the tau it returned, as np.linalg.qr forms it (LAPACK's orgqr)."""
+    return _umath_linalg.qr_reduced(a, tau, signature="dd->d")
 
 
 @_lapack_errstate("Singular matrix")

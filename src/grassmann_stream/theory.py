@@ -99,21 +99,26 @@ def heuristic_iterations(n: int, m: int, d: int, zeta_star: float) -> float:
 
 
 def coefficient_split(
-    B: np.ndarray, x: np.ndarray, x_par: np.ndarray
+    qr: numerics.HouseholderQR, x: np.ndarray, x_par: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the least-squares coefficients of x against B = A U.
 
+    qr is the Householder QR of B = Q R that the step's own solve made
+    (StepReport.qr), so B is neither factored nor rank-tested again.
     x = A v are the measurements of v and x_par = A v_par those of its
     projection v_par onto span(U). Returns (w_par, w_perp): the
-    coefficients of x_par and of x - x_par, from one solve with a
-    two-column right-hand side. Their sum solves the least squares of x.
-    Raises numerics.RankDeficient when B is rank deficient.
+    coefficients of x_par and of x - x_par, R^-1 Q^T [x_par, x - x_par]
+    from one solve with a two-column right-hand side. Their sum solves the
+    least squares of x. Q is formed from the reflectors by LAPACK's orgqr,
+    which is as backward stable as applying them (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 19).
 
     The measurements of v_perp are taken as x - x_par, so a lazy Gaussian
     operator is not asked about v_perp: near convergence its rounding
     error would look like a new direction.
     """
-    W = numerics.least_squares(B, np.column_stack((x_par, x - x_par)))
+    X = np.column_stack((x_par, x - x_par))
+    W = numerics.solve(qr.R, qr.Q().T @ X)
     return W[:, 0], W[:, 1]
 
 

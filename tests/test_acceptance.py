@@ -52,7 +52,7 @@ def test_criterion_01_full_data_exact_ratio(capsys):
     while steps < 1000:
         truth, state = _random_instance(n, d, rng, near_truth=steps % 2 == 1)
         v = truth.Ubar @ datagen.gen_coefficients(d, rng)
-        v_par, v_perp = numerics.project(state.U, v)
+        _, v_par, v_perp = numerics.project(state.U, v)
         if np.linalg.norm(v_par) < 1e-9 * np.linalg.norm(v):
             continue
         s0, l0 = np.linalg.slogdet(truth.Ubar.T @ state.U)
@@ -80,7 +80,7 @@ def test_criterion_02_arbitrary_angle_identity(capsys):
     while pairs < 500:
         truth, state = _random_instance(n, d, rng, near_truth=pairs % 2 == 1)
         v = truth.Ubar @ datagen.gen_coefficients(d, rng)
-        v_par, v_perp = numerics.project(state.U, v)
+        _, v_par, v_perp = numerics.project(state.U, v)
         if np.linalg.norm(v_par) < 1e-9 * np.linalg.norm(v):
             continue
         t = float(rng.uniform(0.0, np.pi / 2))
@@ -349,7 +349,7 @@ def test_criterion_10_deterministic_identities(capsys):
         x = sampling.apply(op, v)
         B = sampling.restrict_basis(op, U)
         try:
-            w = numerics.least_squares(B, x)
+            w, qr = numerics.least_squares(B, x)
         except numerics.RankDeficient:
             continue
         r_tilde = x - B @ w
@@ -357,8 +357,8 @@ def test_criterion_10_deterministic_identities(capsys):
             worst["resid"],
             np.linalg.norm(B.T @ r_tilde) / max(np.linalg.norm(x), 1e-300),
         )
-        v_par, v_perp = numerics.project(U, v)
-        w_par, _ = theory.coefficient_split(B, x, sampling.apply(op, v_par))
+        _, v_par, v_perp = numerics.project(U, v)
+        w_par, _ = theory.coefficient_split(qr, x, sampling.apply(op, v_par))
         worst["recon"] = max(
             worst["recon"],
             np.linalg.norm(U @ w_par - v_par) / max(np.linalg.norm(v), 1e-300),

@@ -140,7 +140,8 @@ def test_verify_passes_and_writes_report(tmp_path):
     assert report["passed"] is True
     assert report["config"]["diagnostics_level"] == "none"
     for res in report["identities"].values():
-        assert set(res) >= {"max_violation", "tolerance", "passed", "samples"}
+        assert set(res) >= {"max_violation", "tolerance", "passed", "samples", "worst_step"}
+        assert (res["worst_step"] is None) == (res["samples"] == 0)
 
 
 def test_verify_fails_when_an_identity_has_no_samples(tmp_path, capsys):
@@ -184,7 +185,7 @@ def test_verify_text_marks_identities_that_do_not_apply(
         assert report["identities"][name]["samples"] == 0
 
 
-def test_verify_fault_injection_exits_1(tmp_path, monkeypatch):
+def test_verify_fault_injection_exits_1(tmp_path, monkeypatch, capsys):
     # Corrupt the update so the deterministic identities break. V, not U:
     # with a pending factor K, state.U is a fresh V @ K.
     real_step = grouse.step
@@ -204,6 +205,12 @@ def test_verify_fault_injection_exits_1(tmp_path, monkeypatch):
         assert rc == 1, kind
         report = json.loads((out / "verify.json").read_text(encoding="utf-8"))
         assert report["passed"] is False, kind
+        # Each violated identity's line names the step of its worst violation.
+        violated = [line for line in capsys.readouterr().out.splitlines() if "VIOLATED" in line]
+        assert len(violated) == sum(not r["passed"] for r in report["identities"].values()) > 0
+        for line in violated:
+            name = line.split(":")[0]
+            assert line.endswith(f"VIOLATED at t={report['identities'][name]['worst_step']}")
 
 
 def test_bounds_outputs(tmp_path, capsys):

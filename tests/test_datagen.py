@@ -146,7 +146,7 @@ def test_key_quantity_monte_carlo():
     for i, sample in enumerate(
         datagen.gen_stream(truth, datagen.OpSpec("full"), trials, rng)
     ):
-        _, v_perp = numerics.project(U, sample.v)
+        _, _, v_perp = numerics.project(U, sample.v)
         fracs[i] = np.linalg.norm(v_perp) ** 2 / np.linalg.norm(sample.v) ** 2
     se = fracs.std(ddof=1) / np.sqrt(trials)
     assert fracs.mean() >= (1.0 - zeta) / d - 3.0 * se

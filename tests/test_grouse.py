@@ -130,7 +130,7 @@ def test_arbitrary_angle_ratio_identity_small():
         Ubar = datagen.gen_dense_truth(n, d, rng).Ubar
         state = grouse.init_random(n, d, rng)
         v = Ubar @ rng.standard_normal(d)
-        v_par, v_perp = numerics.project(state.U, v)
+        _, v_par, v_perp = numerics.project(state.U, v)
         t = rng.uniform(0.0, np.pi / 2)
         before = metrics.principal_angles(state.U, Ubar).log_zeta
         report = grouse.step(state, sampling.make_full(n), v, theta=t)
@@ -293,7 +293,7 @@ def test_initial_similarity_scale():
 def _reference_step(U, op, x, theta=None):
     """The GROUSE step on a dense basis, written out: U + (a U w + b r) w^T/||w||."""
     B = sampling.restrict_basis(op, U)
-    w = numerics.least_squares(B, x)
+    w, _ = numerics.least_squares(B, x)
     r = sampling.adjoint(op, x - B @ w)
     norm_w, norm_r = np.linalg.norm(w), np.linalg.norm(r)
     if theta is None:
@@ -383,11 +383,10 @@ def test_entrywise_full_entrywise_matches_dense_reference():
 
 @pytest.mark.parametrize("kind", ["full", "gaussian", "entrywise"])
 def test_held_arrays_stay_intact(kind):
-    # The harness diagnoses a step against the state.U it held before the
-    # step and reads the step's report.B: no later step may write into
-    # either. Every 50th entry-wise step takes a right angle, so the run
-    # starts a factored K, folds one into a dense update and
-    # reorthonormalizes.
+    # A caller may hold a state.U it read and a step's report.B and
+    # report.qr: no later step may write into any of them. Every 50th
+    # entry-wise step takes a right angle, so the run starts a factored K,
+    # folds one into a dense update and reorthonormalizes.
     rng = np.random.default_rng(23)
     truth = datagen.gen_dense_truth(60, 4, rng)
     state = grouse.init_random(60, 4, rng)
@@ -399,6 +398,8 @@ def test_held_arrays_stay_intact(kind):
         theta = np.pi / 2 if kind == "entrywise" and t % 50 == 25 else None
         report = grouse.step(state, sample.op, sample.x, theta=theta)
         held += [(U, U.copy()), (report.B, report.B.copy())]
+        if report.qr is not None:
+            held += [(array, array.copy()) for array in report.qr]
         events["factored start"] += not pending and state.K is not None
         updated = report.status is StepStatus.UPDATED
         events["dense fold"] += pending and updated and theta is not None

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -812,6 +813,63 @@ def test_verified_step_forms_each_product_once(monkeypatch):
             "restrict_basis": 1, "adjoint": 1, "apply": 1 if kind == "entrywise" else 2,
             "project": 1, "coefficient_split": 1, "delta_term": 1,
         }, kind
+
+
+def test_verified_step_factors_once_and_never_forms_U(monkeypatch):
+    # A verified entry-wise stream long enough for a factor K to be pending:
+    # each step's QR of [B x] is its only factorization (no step here
+    # reorthonormalizes), and the diagnosis takes its products with U from V
+    # and K, so no step reads GrouseState.U. The benchmark's tracer wraps
+    # these layers by name on their modules.
+    layers = ((numerics, "least_squares"), (numerics, "project"),
+              (theory, "coefficient_split"), (theory, "delta_term"), (grouse, "step"))
+    assert all(inspect.isfunction(getattr(module, name)) for module, name in layers)
+    calls = _count_calls(monkeypatch, (numerics, "qr_in_place"), *layers)
+    reads, pending, reads_per_step = [], [], []
+    real_U, real_step = grouse.GrouseState.U, harness._Trial.step
+
+    def recording_step(self, sample, diagnose=False):
+        pending.append(self.state.K is not None)
+        before = len(reads)
+        result = real_step(self, sample, diagnose)
+        reads_per_step.append(len(reads) - before)
+        return result
+
+    monkeypatch.setattr(
+        grouse.GrouseState, "U", property(lambda state: reads.append(0) or real_U.fget(state))
+    )
+    monkeypatch.setattr(harness._Trial, "step", recording_step)
+    config = harness.TrialConfig(n=60, d=4, op_kind="entrywise", m=20, seed=23)
+    report = harness.verify_step_invariants(config, 5)
+    assert report["identities"]["schur_determinant_identity"]["samples"] == 5
+    assert any(pending)
+    assert reads_per_step == [0] * 5
+    assert calls == {
+        "qr_in_place": 5, "least_squares": 5, "step": 5,
+        "project": 5, "coefficient_split": 5, "delta_term": 5,
+    }
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_worst_step_replays_the_largest_violation(monkeypatch, kind):
+    # Streams are prefix-consistent: a run cut after an identity's
+    # worst_step reaches the same largest violation, bit for bit.
+    monkeypatch.setattr(grouse.StepReport, "overlap_change", _scale_change)
+    config = harness.TrialConfig(
+        n=60, d=4, op_kind=kind, m=None if kind == "full" else 20, seed=23
+    )
+    identities = harness.verify_step_invariants(config, 250)["identities"]
+    assert not all(result["passed"] for result in identities.values())
+    replays = {}
+    for name, result in identities.items():
+        step = result["worst_step"]
+        assert (step is None) == (result["samples"] == 0), name
+        if step is None:
+            continue
+        if step not in replays:
+            replays[step] = harness.verify_step_invariants(config, step + 1)["identities"]
+        assert replays[step][name]["max_violation"] == result["max_violation"], name
+        assert replays[step][name]["worst_step"] == step, name
 
 
 def test_verify_step_invariants_all_modes():

@@ -32,7 +32,7 @@ def test_least_squares_exact_solution():
     rng = np.random.default_rng(2)
     B = rng.standard_normal((12, 4))
     w_true = rng.standard_normal(4)
-    w = numerics.least_squares(B, B @ w_true)
+    w, _ = numerics.least_squares(B, B @ w_true)
     assert np.allclose(w, w_true, atol=1e-10)
 
 
@@ -40,7 +40,7 @@ def test_least_squares_residual_orthogonal():
     rng = np.random.default_rng(3)
     B = rng.standard_normal((15, 5))
     x = rng.standard_normal(15)
-    w = numerics.least_squares(B, x)
+    w, _ = numerics.least_squares(B, x)
     assert np.linalg.norm(B.T @ (x - B @ w)) < 1e-10 * np.linalg.norm(x)
 
 
@@ -61,7 +61,7 @@ def test_project_decomposition():
     rng = np.random.default_rng(5)
     U = numerics.orthonormalize(rng.standard_normal((20, 3)))
     v = rng.standard_normal(20)
-    v_par, v_perp = numerics.project(U, v)
+    _, v_par, v_perp = numerics.project(U, v)
     assert np.allclose(v_par + v_perp, v)
     assert np.linalg.norm(U.T @ v_perp) < 1e-12
     # Pythagoras
@@ -86,7 +86,7 @@ def test_project_in_span_property(seed):
     rng = np.random.default_rng(seed)
     U = numerics.orthonormalize(rng.standard_normal((15, 4)))
     v = U @ rng.standard_normal(4)
-    v_par, v_perp = numerics.project(U, v)
+    _, v_par, v_perp = numerics.project(U, v)
     assert np.linalg.norm(v_perp) < 1e-10 * max(np.linalg.norm(v), 1.0)
 
 
@@ -161,9 +161,10 @@ def test_kernels_return_np_linalg_bits(m, k, cond):
     C = _with_singular_values(m, np.sqrt(s), seed=m + k + 1)
     gram = C.T @ C  # positive definite, with condition number cond
     packed = A.copy()
-    numerics.qr_in_place(packed)
+    tau = numerics.qr_in_place(packed)
     R = np.triu(packed[:k])
     _assert_same_bits(R, np.linalg.qr(A, mode="r"))
+    _assert_same_bits(numerics.qr_reduced(packed, tau), np.linalg.qr(A).Q)
     rng = np.random.default_rng(m * k)
     b1, b3 = rng.standard_normal(k), rng.standard_normal((k, 3))
     for S in (R, A[:k], gram):
@@ -192,9 +193,10 @@ def test_kernels_raise_where_np_linalg_raises(S):
             reference(S)
         with pytest.raises(np.linalg.LinAlgError):
             kernel(S)
-    # Neither raises for these: slogdet gives sign 0 and -inf, QR gives an R.
+    # Neither raises for these: slogdet gives sign 0 and -inf, QR gives a Q and an R.
     for got, want in zip(numerics.slogdet(S), np.linalg.slogdet(S)):
         _assert_same_bits(got, want)
     packed = S.copy()
-    numerics.qr_in_place(packed)
+    tau = numerics.qr_in_place(packed)
     _assert_same_bits(np.triu(packed), np.linalg.qr(S, mode="r"))
+    _assert_same_bits(numerics.qr_reduced(packed, tau), np.linalg.qr(S).Q)

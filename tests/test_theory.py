@@ -178,8 +178,9 @@ def _split_and_delta(U, Ubar, op, v):
     """(w_par, w_perp, Delta) of v observed through op, against a fresh Ubar^T U."""
     B = sampling.restrict_basis(op, U)
     x = sampling.apply(op, v)
-    v_par, _ = numerics.project(U, v)
-    w_par, w_perp = theory.coefficient_split(B, x, sampling.apply(op, v_par))
+    _, qr = numerics.least_squares(B, x)
+    _, v_par, _ = numerics.project(U, v)
+    w_par, w_perp = theory.coefficient_split(qr, x, sampling.apply(op, v_par))
     r = sampling.adjoint(op, x - B @ (w_par + w_perp))
     return w_par, w_perp, theory.delta_term(Ubar.T @ U, Ubar.T @ r, w_perp)
 
@@ -203,10 +204,67 @@ def test_coefficient_split_sums_to_solution():
             v = Ubar @ rng.standard_normal(6)
             op = datagen.OpSpec(kind, 30).draw(60, rng)
             B, x = sampling.restrict_basis(op, U), sampling.apply(op, v)
-            v_par, _ = numerics.project(U, v)
-            w_par, w_perp = theory.coefficient_split(B, x, sampling.apply(op, v_par))
-            w = numerics.least_squares(B, x)
+            _, v_par, _ = numerics.project(U, v)
+            w, qr = numerics.least_squares(B, x)
+            w_par, w_perp = theory.coefficient_split(qr, x, sampling.apply(op, v_par))
             assert np.linalg.norm(w_par + w_perp - w) <= 1e-10 * np.linalg.norm(w)
+
+
+def _two_column_split(B, x, x_par):
+    """The split as coefficient_split formed it from B alone: one QR of
+    [B, x_par, x - x_par] and one solve with R, bit for bit."""
+    d = B.shape[1]
+    R = np.linalg.qr(np.column_stack((B, x_par, x - x_par)), mode="r")
+    W = np.linalg.solve(R[:d, :d], R[:d, d:])
+    return W[:, 0], W[:, 1]
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+@pytest.mark.parametrize("m, d", [(12, 4), (4, 4)], ids=["12x4", "square"])
+def test_split_from_the_steps_factorization_matches_a_fresh_one(m, d, cond):
+    # Both routes solve each column's least squares backward stably: its w
+    # solves B + dB and x + dx exactly, with ||dB||_2 <= g ||B||_2 and
+    # ||dx|| <= g ||x|| for g = sqrt(d) m d eps, Higham's columnwise
+    # gamma_(md) (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # Thms 19.4 and 20.3, its constant taken as 1) made normwise. An
+    # explicit Q from the same reflectors keeps that backward error (ch. 19).
+    # To first order in g (Higham Thm 20.1) such a w is off the exact one by
+    # at most g (2 k ||w|| + k (k + 1) ||r|| / ||B||_2), for k = cond(B) and
+    # the residual r; the routes differ by at most twice that, c = 2. A
+    # column without a residual (x_par, and every column of a square B) is
+    # then within 4 g k ||w||: c cond(B) eps relative, c = 4 sqrt(d) m d.
+    # The columns sum to the step's w, which shares their R exactly: both
+    # apply R^-1 to Q^T x, formed two ways, each within g of exact, plus the
+    # rounding of x - x_par, so the sum is off by at most
+    # 2 g k (||x_par|| + ||x - x_par||) / ||B||_2 plus back substitution's
+    # d eps k per solved column.
+    rng = np.random.default_rng(int(np.log10(cond)) + 10 * m)
+    eps = np.finfo(float).eps
+    g = np.sqrt(d) * m * d * eps
+    for _ in range(50):
+        B = _with_singular_values(m, np.geomspace(1.0, 1.0 / cond, d), rng)
+        x_par = B @ rng.standard_normal(d)
+        x = x_par + rng.standard_normal(m)
+        w, qr = numerics.least_squares(B, x)
+        split = theory.coefficient_split(qr, x, x_par)
+        for got, want, rhs in zip(split, _two_column_split(B, x, x_par), (x_par, x - x_par)):
+            r = rhs - B @ want
+            bound = 2 * g * (2 * cond * np.linalg.norm(want)
+                             + cond * (cond + 1) * np.linalg.norm(r))
+            assert np.linalg.norm(got - want) <= bound
+        w_par, w_perp = split
+        bound = 2 * g * cond * (np.linalg.norm(x_par) + np.linalg.norm(x - x_par)) + (
+            d * eps * cond * (np.linalg.norm(w_par) + np.linalg.norm(w_perp) + np.linalg.norm(w))
+        )
+        assert np.linalg.norm(w_par + w_perp - w) <= bound
+
+
+def _with_singular_values(m, s, rng):
+    """m x len(s) matrix Q diag(s) V^T with random orthonormal Q and V, so
+    ||B||_2 = max(s) = 1 for the s used here."""
+    Q = numerics.orthonormalize(rng.standard_normal((m, len(s))))
+    V = numerics.orthonormalize(rng.standard_normal((len(s), len(s))))
+    return (Q * s) @ V.T
 
 
 def test_schur_identity_oracle():
